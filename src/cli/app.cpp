@@ -1,5 +1,7 @@
 #include "cli/app.hpp"
 
+#include <charconv>
+#include <cstdlib>
 #include <fstream>
 #include <sstream>
 #include <stdexcept>
@@ -604,6 +606,27 @@ std::string usage() {
 
 namespace {
 
+/// Parses a non-negative integer argument. std::stoul would wrap "-1" to
+/// SIZE_MAX and accept it silently; from_chars rejects any sign.
+std::uint64_t parse_unsigned(const std::string& text, const char* what) {
+  std::uint64_t v = 0;
+  const char* end = text.data() + text.size();
+  const auto [ptr, ec] = std::from_chars(text.data(), end, v);
+  if (ec != std::errc() || ptr != end) {
+    throw std::invalid_argument(std::string(what) + " must be a non-negative integer, got '" +
+                                text + "'");
+  }
+  return v;
+}
+
+/// True for tokens like "-0.5" or "-3": numeric positionals that merely
+/// start with '-', which the flag parser must not mistake for flags.
+bool is_number(const std::string& text) {
+  char* end = nullptr;
+  (void)std::strtod(text.c_str(), &end);
+  return end == text.c_str() + text.size();
+}
+
 std::string dispatch(const std::vector<std::string>& pos, const CommonOptions& opts, int reps,
                      std::uint64_t seed, const ServeOptions& serve) {
   const std::string& cmd = pos[0];
@@ -619,7 +642,7 @@ std::string dispatch(const std::vector<std::string>& pos, const CommonOptions& o
   if (cmd == "sweep") {
     need(5, "sweep <spec> <lo> <hi> <points>");
     return run_sweep(load_cluster_spec(pos[1]), std::stod(pos[2]), std::stod(pos[3]),
-                     static_cast<std::size_t>(std::stoul(pos[4])), opts);
+                     parse_unsigned(pos[4], "sweep <points>"), opts);
   }
   if (cmd == "validate") {
     need(3, "validate <spec> <lambda>");
@@ -696,7 +719,7 @@ std::string run_cli(const std::vector<std::string>& args) {
     } else if (a == "--reps") {
       reps = std::stoi(next("--reps"));
     } else if (a == "--seed") {
-      seed = static_cast<std::uint64_t>(std::stoull(next("--seed")));
+      seed = parse_unsigned(next("--seed"), "--seed");
       serve.seed = seed;
     } else if (a == "--half-life") {
       serve.half_life = std::stod(next("--half-life"));
@@ -705,7 +728,7 @@ std::string run_cli(const std::vector<std::string>& args) {
     } else if (a == "--drift") {
       serve.drift_threshold = std::stod(next("--drift"));
     } else if (a == "--chaos-seed") {
-      serve.chaos_seed = static_cast<std::uint64_t>(std::stoull(next("--chaos-seed")));
+      serve.chaos_seed = parse_unsigned(next("--chaos-seed"), "--chaos-seed");
     } else if (a == "--chaos-profile") {
       serve.chaos_profile = next("--chaos-profile");
     } else if (a == "--slo-target") {
@@ -719,7 +742,7 @@ std::string run_cli(const std::vector<std::string>& args) {
     } else if (a == "--recorder-out") {
       serve.recorder_out = next("--recorder-out");
     } else if (a == "--recorder-capacity") {
-      serve.recorder_capacity = static_cast<std::size_t>(std::stoul(next("--recorder-capacity")));
+      serve.recorder_capacity = parse_unsigned(next("--recorder-capacity"), "--recorder-capacity");
     } else if (a == "--health") {
       serve.health = true;
     } else if (a == "--health-suspect") {
@@ -751,7 +774,7 @@ std::string run_cli(const std::vector<std::string>& args) {
       opts.threads = std::stoi(next("--threads"));
       if (opts.threads < 0) throw std::invalid_argument("--threads must be >= 0");
     } else if (a == "--shards") {
-      opts.shards = static_cast<std::size_t>(std::stoul(next("--shards")));
+      opts.shards = parse_unsigned(next("--shards"), "--shards");
     } else if (a == "--policy") {
       opts.policy = next("--policy");
     } else if (a == "--probe-d") {
@@ -759,14 +782,14 @@ std::string run_cli(const std::vector<std::string>& args) {
       if (d < 1) throw std::invalid_argument("--probe-d must be >= 1");
       opts.probe_d = static_cast<unsigned>(d);
     } else if (a == "--prune-k") {
-      opts.prune_k = static_cast<std::size_t>(std::stoul(next("--prune-k")));
+      opts.prune_k = parse_unsigned(next("--prune-k"), "--prune-k");
     } else if (a == "--metrics-out") {
       metrics_out = next("--metrics-out");
     } else if (a == "--metrics-format") {
       metrics_format = obs::parse_export_format(next("--metrics-format"));
     } else if (a == "--version") {
       return obs::build_info_text();
-    } else if (!a.empty() && a[0] == '-') {
+    } else if (!a.empty() && a[0] == '-' && !is_number(a)) {
       throw std::invalid_argument("unknown flag '" + a + "'\n" + usage());
     } else {
       pos.push_back(a);

@@ -57,14 +57,8 @@ std::vector<double> ResponseTimeObjective::gradient(std::span<const double> rate
   if (rates.size() != queues_.size()) {
     throw std::invalid_argument("ResponseTimeObjective::gradient: rate vector size mismatch");
   }
-  // Full-gradient sweeps ride the SoA-batched Erlang kernel: one
-  // lane-blocked recurrence across all servers instead of three scalar
-  // recurrences each. Outputs are bitwise identical to marginal(i, r)
-  // (batch_lagrange_marginal replicates the scalar operation order), so
-  // the projected-gradient solver sees the exact same iterates.
   std::vector<double> g(rates.size());
-  queue::batch_lagrange_marginal(queues_, rates, g);
-  for (double& gi : g) gi /= lambda_total_;
+  for (std::size_t i = 0; i < rates.size(); ++i) g[i] = marginal(i, rates[i]);
   return g;
 }
 

@@ -6,7 +6,6 @@
 #include <vector>
 
 #include "numerics/erlang.hpp"
-#include "numerics/erlang_batch.hpp"
 #include "obs/obs.hpp"
 #include "queueing/mmm.hpp"
 
@@ -123,161 +122,6 @@ std::pair<double, double> BladeQueue::lagrange_marginal_with_derivative(double l
     if (hi > lo) dg = (lagrange_marginal(hi) - lagrange_marginal(lo)) / (hi - lo);
   }
   return {g, dg};
-}
-
-namespace {
-
-void check_batch_sizes(std::size_t n, std::size_t got, const char* what) {
-  if (n != got) {
-    throw std::invalid_argument(std::string("batch_lagrange_marginal: ") + what);
-  }
-}
-
-/// Shared front half of both batch forms: per-element utilization (with
-/// the scalar path's validation and saturation throw) and offered loads,
-/// ready for one lane-blocked recurrence sweep. `queue_at(j)` lets the
-/// same code serve the many-queues and one-queue-many-rates shapes.
-template <typename QueueAt>
-void gather_inputs(QueueAt&& queue_at, std::span<const double> lambda1s,
-                   std::vector<unsigned>& m, std::vector<double>& rho) {
-  const std::size_t n = lambda1s.size();
-  m.resize(n);
-  rho.resize(n);
-  for (std::size_t j = 0; j < n; ++j) {
-    const BladeQueue& q = queue_at(j);
-    m[j] = q.blades();
-    rho[j] = q.utilization(lambda1s[j]);
-  }
-}
-
-/// Epilogue of lagrange_marginal, operation for operation: erlang_c and
-/// erlang_c_drho reconstructed from the shared Erlang-B value, then the
-/// scalar T / dT'/drho / G chain. Bitwise identical to the scalar path
-/// because B is (one recurrence per lane, identical IEEE sequence) and
-/// every subsequent expression keeps the scalar order.
-double marginal_from_b(const BladeQueue& q, double lambda1, double rho, double b) {
-  const double md = static_cast<double>(q.blades());
-  const double xbar = q.mean_service_time();
-  const double vf = 0.5 * (1.0 + q.service_scv());
-  const double pq = rho == 0.0 ? 0.0 : b / (1.0 - rho * (1.0 - b));
-  // generic_response_time
-  double wait = vf * pq / (md * (1.0 - rho)) * xbar;
-  if (q.discipline() == Discipline::SpecialPriority) {
-    wait /= (1.0 - q.special_utilization());
-  }
-  const double T = xbar + wait;
-  // dT_drho
-  double dpq;
-  if (rho == 0.0) {
-    dpq = q.blades() == 1 ? 1.0 : 0.0;
-  } else {
-    const double t = b / (1.0 - b);
-    const double u = 1.0 - rho + t;
-    const double dt = (t * md / rho) * u;
-    dpq = (dt * (1.0 - rho) + t) / (u * u);
-  }
-  double f = vf;
-  if (q.discipline() == Discipline::SpecialPriority) f /= (1.0 - q.special_utilization());
-  const double one_minus = 1.0 - rho;
-  const double dT_drho_v = xbar * f / md * (dpq * one_minus + pq) / (one_minus * one_minus);
-  const double dT_dlambda_v = xbar / md * dT_drho_v;
-  return T + lambda1 * dT_dlambda_v;
-}
-
-template <typename QueueAt>
-void batch_marginal_impl(QueueAt&& queue_at, std::span<const double> lambda1s,
-                         std::span<double> g) {
-  const std::size_t n = lambda1s.size();
-  check_batch_sizes(n, g.size(), "g size mismatch");
-  std::vector<unsigned> m;
-  std::vector<double> rho;
-  gather_inputs(queue_at, lambda1s, m, rho);
-  std::vector<double> a(n);
-  std::vector<double> b(n);
-  for (std::size_t j = 0; j < n; ++j) a[j] = static_cast<double>(m[j]) * rho[j];
-  num::erlang_b_batch(m, a, b);
-  // The scalar chain logically evaluates C and C' per server; count them
-  // so eval-per-solve accounting stays honest whichever path ran.
-  BLADE_OBS_COUNT_N("numerics.erlang_c_evals", n);
-  BLADE_OBS_COUNT_N("numerics.erlang_c_drho_evals", n);
-  for (std::size_t j = 0; j < n; ++j) {
-    g[j] = marginal_from_b(queue_at(j), lambda1s[j], rho[j], b[j]);
-  }
-}
-
-template <typename QueueAt>
-void batch_marginal_deriv_impl(QueueAt&& queue_at, std::span<const double> lambda1s,
-                               std::span<double> g, std::span<double> dg) {
-  const std::size_t n = lambda1s.size();
-  check_batch_sizes(n, g.size(), "g size mismatch");
-  check_batch_sizes(n, dg.size(), "dg size mismatch");
-  std::vector<unsigned> m;
-  std::vector<double> rho;
-  gather_inputs(queue_at, lambda1s, m, rho);
-  std::vector<double> c(n);
-  std::vector<double> dc(n);
-  std::vector<double> d2c(n);
-  num::erlang_c_derivs_batch(m, rho, c, dc, d2c);
-  for (std::size_t j = 0; j < n; ++j) {
-    const BladeQueue& q = queue_at(j);
-    const double md = static_cast<double>(q.blades());
-    const double xbar = q.mean_service_time();
-    double f = 0.5 * (1.0 + q.service_scv());
-    if (q.discipline() == Discipline::SpecialPriority) {
-      f /= (1.0 - q.special_utilization());
-    }
-    const double one_minus = 1.0 - rho[j];
-    const double scale = xbar * f / md;
-    const double T = xbar + scale * c[j] / one_minus;
-    const double dT_drho_v = scale * (dc[j] * one_minus + c[j]) / (one_minus * one_minus);
-    const double d2T_drho2_v =
-        scale * (d2c[j] * one_minus * one_minus + 2.0 * (dc[j] * one_minus + c[j])) /
-        (one_minus * one_minus * one_minus);
-    const double s = xbar / md;
-    const double dT_dl = s * dT_drho_v;
-    const double d2T_dl2 = s * s * d2T_drho2_v;
-    g[j] = T + lambda1s[j] * dT_dl;
-    double dgj = 2.0 * dT_dl + lambda1s[j] * d2T_dl2;
-    if (!std::isfinite(dgj)) {
-      // Same guarded central difference as the scalar kernel (rho pushed
-      // against 1); rare enough that the scalar re-evaluation is fine.
-      const double sup = q.max_generic_rate();
-      const double h = std::max(1e-9, 1e-7 * std::min(lambda1s[j], sup - lambda1s[j]));
-      const double hi = std::min(lambda1s[j] + h, (1.0 - 1e-12) * sup);
-      const double lo = std::max(lambda1s[j] - h, 0.0);
-      if (hi > lo) dgj = (q.lagrange_marginal(hi) - q.lagrange_marginal(lo)) / (hi - lo);
-    }
-    dg[j] = dgj;
-  }
-}
-
-}  // namespace
-
-void batch_lagrange_marginal(std::span<const BladeQueue> queues,
-                             std::span<const double> lambda1s, std::span<double> g) {
-  check_batch_sizes(lambda1s.size(), queues.size(), "queue count mismatch");
-  batch_marginal_impl([&](std::size_t j) -> const BladeQueue& { return queues[j]; },
-                      lambda1s, g);
-}
-
-void batch_lagrange_marginal(const BladeQueue& q, std::span<const double> lambda1s,
-                             std::span<double> g) {
-  batch_marginal_impl([&](std::size_t) -> const BladeQueue& { return q; }, lambda1s, g);
-}
-
-void batch_lagrange_marginal_with_derivative(std::span<const BladeQueue> queues,
-                                             std::span<const double> lambda1s,
-                                             std::span<double> g, std::span<double> dg) {
-  check_batch_sizes(lambda1s.size(), queues.size(), "queue count mismatch");
-  batch_marginal_deriv_impl([&](std::size_t j) -> const BladeQueue& { return queues[j]; },
-                            lambda1s, g, dg);
-}
-
-void batch_lagrange_marginal_with_derivative(const BladeQueue& q,
-                                             std::span<const double> lambda1s,
-                                             std::span<double> g, std::span<double> dg) {
-  batch_marginal_deriv_impl([&](std::size_t) -> const BladeQueue& { return q; }, lambda1s,
-                            g, dg);
 }
 
 }  // namespace blade::queue

@@ -17,7 +17,6 @@
 // paper up to the constant 1/lambda').
 #pragma once
 
-#include <span>
 #include <utility>
 
 namespace blade::queue {
@@ -100,34 +99,5 @@ class BladeQueue {
   Discipline disc_;
   double scv_;
 };
-
-/// Batched Lagrange marginals across servers:
-///   g[j] = queues[j].lagrange_marginal(lambda1s[j])
-/// computed from ONE lane-blocked Erlang-B sweep (erlang_b_batch) instead
-/// of the three recurrences the scalar chain runs per server. Each output
-/// is bitwise identical to the scalar call — the epilogue replicates the
-/// scalar operation order exactly — so gradient sweeps can switch paths
-/// freely. Spans must share one length; per-element validation (rho < 1)
-/// matches BladeQueue::utilization.
-void batch_lagrange_marginal(std::span<const BladeQueue> queues,
-                             std::span<const double> lambda1s, std::span<double> g);
-
-/// One queue, many rates — the surrogate-cache build sweep. Bitwise
-/// identical to calling q.lagrange_marginal(lambda1s[j]) per element.
-void batch_lagrange_marginal(const BladeQueue& q, std::span<const double> lambda1s,
-                             std::span<double> g);
-
-/// Batched {G, dG} across servers via num::erlang_c_derivs_batch —
-/// bitwise identical to lagrange_marginal_with_derivative per element,
-/// including its guarded central-difference curvature fallback.
-void batch_lagrange_marginal_with_derivative(std::span<const BladeQueue> queues,
-                                             std::span<const double> lambda1s,
-                                             std::span<double> g, std::span<double> dg);
-
-/// One queue, many rates variant of the derivative form (spline nodes of
-/// the marginal surrogate need G and dG at every knot).
-void batch_lagrange_marginal_with_derivative(const BladeQueue& q,
-                                             std::span<const double> lambda1s,
-                                             std::span<double> g, std::span<double> dg);
 
 }  // namespace blade::queue

@@ -265,7 +265,6 @@ blade::Status Controller::restore_checkpoint(const std::string& json) {
   ewma_ = std::move(ewma);
   window_ = std::move(window);
   ws_.clear();  // cached brackets describe the pre-restore problem
-  mcache_.invalidate();  // fitted to the pre-restore epoch's queues
   // Health state is deliberately not serialized (the schema stays v1):
   // gray scores are short-half-life observations of a live fleet, and a
   // restored process has been dark for an unknown interval. Scoring
@@ -285,9 +284,6 @@ blade::Status Controller::restore_checkpoint(const std::string& json) {
   }
   ++stats_.restores;
   BLADE_OBS_COUNT("runtime.checkpoint_restores");
-  // set_mode only bumps on an actual transition; a restore republishes
-  // the table either way, so shards must drop their snapshots now.
-  bump_publish_epoch();
   return {};
 }
 

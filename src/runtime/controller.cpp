@@ -33,22 +33,6 @@ void ControllerConfig::validate() const {
   if (prune_top_k > 0 && shard_cells == 0) {
     throw std::invalid_argument("ControllerConfig: prune_top_k requires shard_cells > 0");
   }
-  if (marginal_drift) {
-    // Surrogate options are validated up front so a bad configuration
-    // throws at construction, not from a drift check mid-stream.
-    if (marginal_cache.segments < 2) {
-      throw std::invalid_argument("ControllerConfig: marginal_cache.segments must be >= 2");
-    }
-    if (marginal_cache.certify_samples < 1) {
-      throw std::invalid_argument("ControllerConfig: marginal_cache.certify_samples must be >= 1");
-    }
-    if (!(marginal_cache.safety_factor >= 1.0)) {
-      throw std::invalid_argument("ControllerConfig: marginal_cache.safety_factor must be >= 1");
-    }
-    if (!(marginal_cache.domain_margin > 0.0) || !(marginal_cache.domain_margin < 1.0)) {
-      throw std::invalid_argument("ControllerConfig: marginal_cache.domain_margin must be in (0, 1)");
-    }
-  }
   health.validate();
   solver.validate();
 }
@@ -69,7 +53,7 @@ double ControllerStats::shed_fraction() const noexcept {
 }
 
 Controller::Controller(model::Cluster cluster, ControllerConfig cfg)
-    : cluster_(std::move(cluster)), cfg_(cfg), mcache_(cfg_.marginal_cache) {
+    : cluster_(std::move(cluster)), cfg_(cfg) {
   cfg_.validate();
   const std::size_t n = cluster_.size();
   avail_.resize(n);
@@ -358,7 +342,6 @@ void Controller::publish_quarantine(double t) {
       // defeating the cheap path).
       ++stats_.quarantine_publications;
       BLADE_OBS_COUNT("runtime.health.quarantine_publications");
-      bump_publish_epoch();
       return;
     }
   }
@@ -366,7 +349,6 @@ void Controller::publish_quarantine(double t) {
   // quarantined): the proportional fallback below also skips quarantined
   // blades.
   publish_fallback(shed_probability(), obs::Cause::Quarantine);
-  bump_publish_epoch();
 }
 
 HealthState Controller::health_state(std::size_t i) const {
@@ -397,7 +379,6 @@ void Controller::check_drift(double t) {
     return;
   }
   const double lam = estimated_lambda(t);
-  if (cfg_.marginal_drift && marginal_drift_check(t, lam)) return;
   double drift = std::abs(lam - solved_lambda_) / std::max(solved_lambda_, 1e-12);
   for (std::size_t i = 0; i < cluster_.size(); ++i) {
     if (avail_[i] == 0 || solved_special_[i] < 0.0) continue;
@@ -415,135 +396,11 @@ void Controller::check_drift(double t) {
   }
 }
 
-bool Controller::marginal_drift_check(double t, double lam) {
-  // Feasibility dimension first, still estimate-based: the marginal
-  // spread cannot see a pure load-level change (a near-optimal split
-  // stays near-optimal as lambda' scales), but admission control must
-  // engage the moment lam crosses the admissible ceiling — and track it
-  // while shedding — which only a re-solve does.
-  double lambda_max = 0.0;
-  std::vector<std::size_t> alive;
-  alive.reserve(cluster_.size());
-  for (std::size_t i = 0; i < cluster_.size(); ++i) {
-    if (avail_[i] == 0) continue;
-    // Quarantined blades were excluded from the last solve (their solved
-    // preload is the -1 sentinel) and carry no published weight; they are
-    // outside the optimality question until probation re-solves.
-    if (health_ && !health_->routable(i)) continue;
-    if (solved_special_[i] < 0.0) return false;  // no solved preloads: legacy criterion
-    alive.push_back(i);
-    lambda_max += capacity(i) - solved_special_[i];
-  }
-  if (alive.empty() || !(lambda_max > 0.0)) return false;
-  const double ceiling = cfg_.utilization_ceiling * lambda_max;
-  if (lam >= ceiling || shed_prob_.load(std::memory_order_relaxed) > 0.0) {
-    BLADE_OBS_EVENT(ResolveTrigger, obs::Cause::Drift, lam, ceiling, t);
-    resolve(t);
-    return true;
-  }
-
-  const auto table = weights();
-  if (!table) return false;
-  const auto& frac = table->fractions();
-  if (frac.size() != cluster_.size()) return false;
-
-  if (!mcache_.valid()) {
-    // New solve epoch: pin the surviving queues (solved preloads, current
-    // blade counts). Per-server surrogates still build lazily inside the
-    // cache, so only servers the check touches pay the fit.
-    std::vector<queue::BladeQueue> queues;
-    queues.reserve(alive.size());
-    for (std::size_t i : alive) {
-      queues.emplace_back(avail_[i], cluster_.rbar() / cluster_.server(i).speed(),
-                          solved_special_[i], cfg_.discipline);
-    }
-    mcache_.configure(std::move(queues));
-  }
-
-  // Marginal spread of the published split at the estimated load. Active
-  // servers (positive fraction) should sit at one common marginal phi;
-  // zero-rate servers satisfy the KKT side g_i(0) >= phi, so for them
-  // only a marginal *below* the active level counts as drift.
-  std::vector<double> rates(alive.size());
-  for (std::size_t j = 0; j < alive.size(); ++j) rates[j] = frac[alive[j]] * lam;
-  double gmin = 0.0, gmax = 0.0, gsum = 0.0, emax = 0.0;
-  std::size_t active = 0;
-  for (std::size_t j = 0; j < alive.size(); ++j) {
-    if (!(rates[j] > 0.0)) continue;
-    const auto ev = mcache_.eval(j, rates[j]);
-    if (!ev) {
-      ++stats_.mcache_out_of_domain;
-      BLADE_OBS_COUNT("runtime.mcache.out_of_domain_checks");
-      BLADE_OBS_EVENT(ResolveTrigger, obs::Cause::Drift, rates[j], 0.0, t);
-      resolve(t);
-      return true;
-    }
-    gmin = active == 0 ? ev->g : std::min(gmin, ev->g);
-    gmax = active == 0 ? ev->g : std::max(gmax, ev->g);
-    gsum += ev->g;
-    emax = std::max(emax, ev->bound);
-    ++active;
-  }
-  if (active == 0) return false;
-  const double mean = gsum / static_cast<double>(active);
-  double stat = (gmax - gmin) / std::max(mean, 1e-300);
-  for (std::size_t j = 0; j < alive.size(); ++j) {
-    if (rates[j] > 0.0) continue;
-    const auto ev = mcache_.eval(j, 0.0);
-    if (!ev) continue;  // zero is always in domain; defensive only
-    emax = std::max(emax, ev->bound);
-    stat = std::max(stat, (mean - ev->g) / std::max(mean, 1e-300));
-  }
-
-  // Certified error of the spread statistic: every surrogate value is
-  // within emax of exact, so the statistic is within roughly
-  // (2 emax + stat * emax) / (mean - emax) of its exact value.
-  const double err = (2.0 + stat) * emax / std::max(mean - emax, 1e-300);
-  if (std::abs(stat - cfg_.drift_threshold) <= err) {
-    // Certified error straddles the hysteresis band: the surrogate
-    // cannot decide — fall through to the exact batched kernel.
-    ++stats_.mcache_fallthroughs;
-    BLADE_OBS_COUNT("runtime.mcache.fallthrough");
-    std::vector<double> ge(alive.size());
-    mcache_.exact(rates, ge);
-    double egmin = 0.0, egmax = 0.0, egsum = 0.0;
-    std::size_t eactive = 0;
-    for (std::size_t j = 0; j < alive.size(); ++j) {
-      if (!(rates[j] > 0.0)) continue;
-      egmin = eactive == 0 ? ge[j] : std::min(egmin, ge[j]);
-      egmax = eactive == 0 ? ge[j] : std::max(egmax, ge[j]);
-      egsum += ge[j];
-      ++eactive;
-    }
-    const double emean = egsum / static_cast<double>(eactive);
-    stat = (egmax - egmin) / std::max(emean, 1e-300);
-    for (std::size_t j = 0; j < alive.size(); ++j) {
-      if (rates[j] > 0.0) continue;
-      stat = std::max(stat, (emean - ge[j]) / std::max(emean, 1e-300));
-    }
-  } else {
-    ++stats_.mcache_hits;
-    BLADE_OBS_COUNT("runtime.mcache.hit");
-  }
-
-  if (stat > cfg_.drift_threshold) {
-    BLADE_OBS_EVENT(ResolveTrigger, obs::Cause::Drift, stat, cfg_.drift_threshold, t);
-    resolve(t);
-  } else {
-    ++stats_.skipped_by_hysteresis;
-    BLADE_OBS_COUNT("runtime.skipped_by_hysteresis");
-  }
-  return true;
-}
-
 void Controller::set_mode(Mode m, obs::Cause cause) {
   const Mode from = mode_;
   mode_ = m;
   BLADE_OBS_GAUGE_SET("runtime.degraded_mode", static_cast<double>(m));
   if (from == m) return;
-  // Urgent publication: per-thread dispatch shards must not serve the
-  // displaced table for up to refresh_interval more draws.
-  bump_publish_epoch();
   ++stats_.mode_transitions;
   BLADE_OBS_COUNT("runtime.mode_transitions");
   BLADE_OBS_EVENT(ModeTransition, cause, static_cast<double>(from), static_cast<double>(m),
@@ -651,9 +508,6 @@ void Controller::contain(double t, double shed_prob, Error err) {
 void Controller::resolve(double t) {
   ++stats_.resolves;
   BLADE_OBS_COUNT("runtime.resolves");
-  // Whatever this solve concludes, the surrogates fitted for the
-  // previous epoch (old topology, old solved preloads) are stale.
-  if (cfg_.marginal_drift) mcache_.invalidate();
   BLADE_OBS_TIMER("runtime.resolve_seconds");
   // Unconditional wall timing (two clock reads per re-solve): the SLO
   // resolve-latency monitor needs it even in BLADE_OBS=OFF builds.

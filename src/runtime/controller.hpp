@@ -31,7 +31,6 @@
 #include <memory>
 #include <vector>
 
-#include "core/marginal_cache.hpp"
 #include "core/optimizer.hpp"
 #include "core/sharded.hpp"
 #include "model/cluster.hpp"
@@ -126,18 +125,6 @@ struct ControllerConfig {
   /// Per-cell top-k rate-matrix pruning for the sharded re-solve path;
   /// requires shard_cells > 0. 0 (default) keeps every server.
   std::size_t prune_top_k = 0;
-  /// Marginal-drift mode: the hysteresis check evaluates the per-server
-  /// Lagrange-marginal spread of the *published* split through the
-  /// certified surrogate cache (core/marginal_cache.hpp) instead of the
-  /// raw rate-estimate deltas — the re-solve trigger then fires on lost
-  /// optimality (unequal marginals) rather than on any estimator
-  /// movement. Falls through to the exact batched kernel only when the
-  /// certified error straddles drift_threshold; rates outside the
-  /// certified domain force a re-solve. OFF by default: the drift
-  /// *criterion* changes, so opting in is a policy decision.
-  bool marginal_drift = false;
-  /// Surrogate fit/certification knobs for marginal_drift mode.
-  opt::MarginalSurrogate::Options marginal_cache;
   /// Gray-failure detection: per-blade health scoring + the quarantine
   /// state machine (runtime/health.hpp). Off by default; when enabled the
   /// caller must feed on_dispatch()/on_completion().
@@ -173,11 +160,6 @@ struct ControllerStats {
   std::uint64_t probations = 0;          ///< edges into Probation
   std::uint64_t health_recoveries = 0;   ///< Probation -> Healthy clears
   std::uint64_t quarantine_publications = 0;  ///< cheap redistributions (no re-solve)
-
-  // Marginal-drift mode only (zero when marginal_drift is off):
-  std::uint64_t mcache_hits = 0;          ///< drift checks settled by the surrogate
-  std::uint64_t mcache_fallthroughs = 0;  ///< checks that needed the exact kernel
-  std::uint64_t mcache_out_of_domain = 0; ///< checks escalated: rate left the domain
 
   /// Wall-clock cost of re-solves (control-loop latency, fed to the SLO
   /// resolve_latency monitor): total seconds across all resolves and the
@@ -259,15 +241,6 @@ class Controller {
   /// Probability that admission control sheds an offered generic task.
   [[nodiscard]] double shed_probability() const noexcept;
 
-  /// Monotone counter bumped on every urgent publication (degraded-mode
-  /// transition, quarantine redistribution, checkpoint restore). Per-
-  /// thread DispatchShards compare it against their cached value each
-  /// route and refresh immediately on mismatch, instead of serving a
-  /// stale table for up to refresh_interval more draws.
-  [[nodiscard]] std::uint64_t publish_epoch() const noexcept {
-    return publish_epoch_.load(std::memory_order_acquire);
-  }
-
   // --- introspection (control thread only) ---
 
   [[nodiscard]] double estimated_lambda(double t) const;
@@ -280,11 +253,6 @@ class Controller {
   /// the first estimate-driven solve).
   [[nodiscard]] double last_solved_lambda() const noexcept { return solved_lambda_; }
   [[nodiscard]] const ControllerStats& stats() const noexcept { return stats_; }
-  /// Surrogate-cache internals (builds, invalidations, hits) for the
-  /// marginal_drift mode; all-zero when the mode is off.
-  [[nodiscard]] const opt::MarginalCache::Stats& marginal_cache_stats() const noexcept {
-    return mcache_.stats();
-  }
   [[nodiscard]] const model::Cluster& cluster() const noexcept { return cluster_; }
   [[nodiscard]] std::size_t size() const noexcept { return cluster_.size(); }
 
@@ -345,18 +313,8 @@ class Controller {
   /// Cheap quarantine containment: zeroes quarantined blades' published
   /// fractions and renormalizes — no optimizer call.
   void publish_quarantine(double t);
-  void bump_publish_epoch() noexcept {
-    publish_epoch_.fetch_add(1, std::memory_order_release);
-  }
   [[nodiscard]] double special_rate_for_solve(std::size_t i, double t) const;
   void check_drift(double t);
-  /// Marginal-drift criterion (cfg_.marginal_drift): surrogate-evaluated
-  /// marginal spread of the published split vs drift_threshold, exact
-  /// batched fallthrough inside the certified-error band. Returns true
-  /// when it decided the check (resolve or skip); false to fall back to
-  /// the estimate-based criterion (cache unusable, e.g. right after a
-  /// checkpoint restore with no solved special rates).
-  bool marginal_drift_check(double t, double lam);
   void resolve(double t);
   /// Validated publication: rejects any weight vector AliasTable would
   /// not accept (NaN/negative/all-zero) instead of publishing it.
@@ -397,7 +355,6 @@ class Controller {
 
   opt::SolverWorkspace ws_;
   opt::ShardedWorkspace sws_;  ///< warm state for the sharded re-solve path
-  opt::MarginalCache mcache_;  ///< certified marginal surrogates (marginal_drift)
   double solved_lambda_ = -1.0;
   std::vector<double> solved_special_;
   std::uint64_t arrivals_since_check_ = 0;
@@ -414,7 +371,6 @@ class Controller {
   std::uint64_t health_events_since_eval_ = 0;
 
   std::atomic<double> shed_prob_{0.0};
-  std::atomic<std::uint64_t> publish_epoch_{0};
   detail::TableSlot table_;
 };
 

@@ -42,20 +42,6 @@ std::size_t ProbabilisticDispatcher::route(const std::vector<ServerSim*>& server
   return i < cumulative_.size() ? i : cumulative_.size() - 1;
 }
 
-DynamicWeightDispatcher::DynamicWeightDispatcher(TableProvider provider, RngStream rng)
-    : provider_(std::move(provider)), rng_(std::move(rng)) {
-  if (!provider_) throw std::invalid_argument("DynamicWeightDispatcher: null provider");
-}
-
-std::size_t DynamicWeightDispatcher::route(const std::vector<ServerSim*>& servers) {
-  if (servers.empty()) throw std::invalid_argument("DynamicWeightDispatcher: no servers");
-  const auto table = provider_();
-  if (!table || table->size() != servers.size()) {
-    return static_cast<std::size_t>(rng_.below(servers.size()));
-  }
-  return table->sample(rng_.uniform(), rng_.uniform());
-}
-
 std::size_t RoundRobinDispatcher::route(const std::vector<ServerSim*>& servers) {
   if (servers.empty()) throw std::invalid_argument("RoundRobinDispatcher: no servers");
   const std::size_t pick = next_ % servers.size();

@@ -6,14 +6,11 @@
 #pragma once
 
 #include <cstddef>
-#include <functional>
-#include <memory>
 #include <vector>
 
 #include "policy/policy.hpp"
 #include "sim/rng.hpp"
 #include "sim/server_sim.hpp"
-#include "util/alias_table.hpp"
 
 namespace blade::sim {
 
@@ -34,24 +31,6 @@ class ProbabilisticDispatcher final : public Dispatcher {
 
  private:
   std::vector<double> cumulative_;  // normalized cumulative probabilities
-  RngStream rng_;
-};
-
-/// Routes by sampling whatever alias table the provider currently holds —
-/// the sim-side half of the runtime controller's atomic weight swap. The
-/// provider is polled per task, so a control plane republishing weights
-/// re-steers the very next arrival. Falls back to a uniform pick when the
-/// provider returns null (all servers down) or a stale-sized table.
-class DynamicWeightDispatcher final : public Dispatcher {
- public:
-  using TableProvider = std::function<std::shared_ptr<const util::AliasTable>()>;
-
-  DynamicWeightDispatcher(TableProvider provider, RngStream rng);
-  [[nodiscard]] std::size_t route(const std::vector<ServerSim*>& servers) override;
-  [[nodiscard]] const char* name() const noexcept override { return "dynamic-weight"; }
-
- private:
-  TableProvider provider_;
   RngStream rng_;
 };
 

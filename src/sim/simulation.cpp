@@ -107,8 +107,6 @@ SimResult simulate_dispatched(const model::Cluster& cluster, double lambda_total
   std::function<void(Task)> arrive;
   if (auto* prob = dynamic_cast<ProbabilisticDispatcher*>(&dispatcher)) {
     arrive = [prob, raw](Task t) { raw[prob->route(raw)]->arrive(t); };
-  } else if (auto* dyn = dynamic_cast<DynamicWeightDispatcher*>(&dispatcher)) {
-    arrive = [dyn, raw](Task t) { raw[dyn->route(raw)]->arrive(t); };
   } else if (auto* pol = dynamic_cast<PolicyDispatcher*>(&dispatcher)) {
     arrive = [pol, raw](Task t) { raw[pol->route(raw)]->arrive(t); };
   } else {

@@ -7,7 +7,7 @@
 // and alias index side by side, 16 bytes per bucket) rather than two
 // parallel vectors: a sample touches exactly one bucket, so the fused
 // layout halves the cache lines the dispatch hot path pulls per draw.
-// The dispatch-shard regression tests pin the routed sequence bitwise
+// The AliasFusedLayout tests pin the routed sequence bitwise
 // against a two-array reference on seeded RNG streams.
 #pragma once
 

@@ -2,9 +2,8 @@
 // 256-bit state per owner, no heap. Decorrelated streams come from
 // seeding SplitMix64 with (seed, stream) exactly like sim::RngStream
 // derives its engines, so per-thread / per-policy sequences are
-// independent. Lives in util so both the runtime data plane
-// (DispatchShard) and the dispatch-policy family can share one
-// generator without layering cycles; runtime::FastRng is an alias.
+// independent. Lives in util so the dispatch-policy family can use it
+// without a layering cycle.
 #pragma once
 
 #include <cstdint>

@@ -216,6 +216,39 @@ TEST_F(CliDriver, BadInvocationsThrowWithUsage) {
   EXPECT_THROW((void)cli::run_cli({"optimize", "/missing.spec", "8.0"}), cli::SpecError);
 }
 
+// A negative positional is a number, not a flag: it must reach the
+// command's own range check instead of the unknown-flag usage error.
+TEST_F(CliDriver, NegativeLambdaReachesTheRangeCheck) {
+  try {
+    (void)cli::run_cli({"optimize", path_, "-0.5"});
+    FAIL() << "expected the lambda range error";
+  } catch (const std::invalid_argument& e) {
+    const std::string what = e.what();
+    EXPECT_NE(what.find("lambda must be in"), std::string::npos) << what;
+    EXPECT_EQ(what.find("unknown flag"), std::string::npos) << what;
+  }
+}
+
+// Count and seed arguments reject a sign (std::stoul used to wrap "-1"
+// to SIZE_MAX) and the error names the offending argument.
+TEST_F(CliDriver, UnsignedArgumentsRejectASign) {
+  for (const char* flag :
+       {"--shards", "--prune-k", "--recorder-capacity", "--seed", "--chaos-seed"}) {
+    try {
+      (void)cli::run_cli({"optimize", path_, "8.0", flag, "-1"});
+      FAIL() << flag << " accepted -1";
+    } catch (const std::invalid_argument& e) {
+      EXPECT_NE(std::string(e.what()).find(flag), std::string::npos) << e.what();
+    }
+  }
+  try {
+    (void)cli::run_cli({"sweep", path_, "2", "9", "-4"});
+    FAIL() << "sweep accepted -4 points";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_NE(std::string(e.what()).find("sweep <points>"), std::string::npos) << e.what();
+  }
+}
+
 TEST(App, VersionFlagPrintsBuildInfo) {
   // --version short-circuits the command dispatch entirely.
   const auto out = cli::run_cli({"--version"});

@@ -1,29 +1,15 @@
 // Data-plane battery: the fused alias-table layout against a two-array
-// reference (bitwise, on pinned RNG streams), the lane-batched Erlang
-// kernels against the scalar ones, the certified marginal surrogate's
-// error-bound honesty, the controller's marginal-drift mode, and the
-// per-thread DispatchShard (determinism, batching, blackout, and the
-// K-routing-threads-vs-publishing-controller race that rides the fast
-// label into the TSan tier).
+// reference (bitwise, on pinned RNG streams), and the xoshiro256++
+// generator the dispatch-policy family draws from.
 #include <gtest/gtest.h>
 
-#include <atomic>
-#include <cmath>
 #include <cstddef>
 #include <cstdint>
-#include <thread>
 #include <vector>
 
-#include "core/marginal_cache.hpp"
-#include "model/cluster.hpp"
-#include "model/paper_configs.hpp"
-#include "numerics/erlang.hpp"
-#include "numerics/erlang_batch.hpp"
-#include "queueing/blade_queue.hpp"
-#include "runtime/controller.hpp"
-#include "runtime/dispatch_shard.hpp"
 #include "sim/rng.hpp"
 #include "util/alias_table.hpp"
+#include "util/fast_rng.hpp"
 
 namespace {
 
@@ -132,494 +118,9 @@ TEST(AliasFusedLayout, PinnedRoutedSequenceMatchesReference) {
   }
 }
 
-// --- lane-batched Erlang kernels ------------------------------------------
-
-TEST(ErlangBatch, ErlangBMatchesScalarBitwise) {
-  std::vector<unsigned> m;
-  std::vector<double> a;
-  for (unsigned mi : {1u, 2u, 3u, 8u, 64u, 500u}) {
-    for (double rho : {0.0, 1e-12, 1e-6, 0.1, 0.5, 0.9, 0.99, 0.999999}) {
-      m.push_back(mi);
-      a.push_back(static_cast<double>(mi) * rho);
-    }
-  }
-  std::vector<double> b(m.size());
-  num::erlang_b_batch(m, a, b);
-  for (std::size_t i = 0; i < m.size(); ++i) {
-    EXPECT_EQ(b[i], num::erlang_b(m[i], a[i])) << "m=" << m[i] << " a=" << a[i];
-  }
-}
-
-TEST(ErlangBatch, DerivsMatchScalarAcrossRegimes) {
-  std::vector<unsigned> m;
-  std::vector<double> rho;
-  // Regime sweep: tiny rho, moderate, near saturation, and large m —
-  // every combination must match the scalar kernel to <= 1e-14 relative
-  // (in practice bitwise: same recurrence, same epilogue order).
-  for (unsigned mi : {1u, 2u, 3u, 5u, 8u, 16u, 64u, 200u, 500u}) {
-    for (double r : {0.0, 1e-14, 1e-9, 1e-4, 0.05, 0.3, 0.5, 0.7, 0.9, 0.97, 0.999, 0.999999}) {
-      m.push_back(mi);
-      rho.push_back(r);
-    }
-  }
-  std::vector<double> c(m.size());
-  std::vector<double> dc(m.size());
-  std::vector<double> d2c(m.size());
-  num::erlang_c_derivs_batch(m, rho, c, dc, d2c);
-  for (std::size_t i = 0; i < m.size(); ++i) {
-    const num::ErlangCDerivs s = num::erlang_c_derivs(m[i], rho[i]);
-    EXPECT_EQ(c[i], s.c) << "m=" << m[i] << " rho=" << rho[i];
-    EXPECT_EQ(dc[i], s.dc) << "m=" << m[i] << " rho=" << rho[i];
-    EXPECT_EQ(d2c[i], s.d2c) << "m=" << m[i] << " rho=" << rho[i];
-    if (std::abs(s.d2c) > 0.0) {
-      EXPECT_LE(std::abs(d2c[i] - s.d2c) / std::abs(s.d2c), 1e-14);
-    }
-  }
-}
-
-// Every batch length around the lane width: the tail block must carry
-// partially-filled lanes without disturbing the live ones.
-TEST(ErlangBatch, TailLanesExact) {
-  for (std::size_t n = 1; n <= 2 * num::kErlangBatchLanes + 3; ++n) {
-    std::vector<unsigned> m(n);
-    std::vector<double> rho(n);
-    for (std::size_t i = 0; i < n; ++i) {
-      m[i] = static_cast<unsigned>(1 + (7 * i) % 93);
-      rho[i] = 0.97 * static_cast<double>(i + 1) / static_cast<double>(n + 1);
-    }
-    std::vector<double> c(n), dc(n), d2c(n);
-    num::erlang_c_derivs_batch(m, rho, c, dc, d2c);
-    for (std::size_t i = 0; i < n; ++i) {
-      const num::ErlangCDerivs s = num::erlang_c_derivs(m[i], rho[i]);
-      EXPECT_EQ(c[i], s.c) << "n=" << n << " i=" << i;
-      EXPECT_EQ(dc[i], s.dc) << "n=" << n << " i=" << i;
-      EXPECT_EQ(d2c[i], s.d2c) << "n=" << n << " i=" << i;
-    }
-  }
-}
-
-TEST(ErlangBatch, ValidationMatchesScalarContract) {
-  std::vector<double> out(2), out2(2), out3(2);
-  const std::vector<unsigned> m{4, 4};
-  EXPECT_THROW(num::erlang_c_derivs_batch(std::vector<unsigned>{4, 0},
-                                          std::vector<double>{0.5, 0.5}, out, out2, out3),
-               std::invalid_argument);
-  EXPECT_THROW(
-      num::erlang_c_derivs_batch(m, std::vector<double>{0.5, 1.0}, out, out2, out3),
-      std::invalid_argument);
-  EXPECT_THROW(
-      num::erlang_c_derivs_batch(m, std::vector<double>{0.5, -0.1}, out, out2, out3),
-      std::invalid_argument);
-  EXPECT_THROW(num::erlang_c_derivs_batch(
-                   m, std::vector<double>{0.5, std::nan("")}, out, out2, out3),
-               std::invalid_argument);
-  EXPECT_THROW(
-      num::erlang_c_derivs_batch(m, std::vector<double>{0.5}, out, out2, out3),
-      std::invalid_argument);
-  EXPECT_THROW(num::erlang_b_batch(m, std::vector<double>{1.0, -1.0}, out),
-               std::invalid_argument);
-}
-
-// --- batched Lagrange marginals -------------------------------------------
-
-std::vector<queue::BladeQueue> mixed_queues() {
-  std::vector<queue::BladeQueue> qs;
-  qs.emplace_back(4, 0.5, 1.0, queue::Discipline::Fcfs);
-  qs.emplace_back(2, 0.8, 0.4, queue::Discipline::Fcfs, 2.0);
-  qs.emplace_back(8, 0.25, 3.0, queue::Discipline::SpecialPriority);
-  qs.emplace_back(1, 1.0, 0.0, queue::Discipline::Fcfs);
-  qs.emplace_back(16, 0.1, 10.0, queue::Discipline::SpecialPriority, 0.5);
-  qs.emplace_back(3, 0.6, 0.0, queue::Discipline::Fcfs);
-  qs.emplace_back(6, 0.3, 2.0, queue::Discipline::Fcfs);
-  qs.emplace_back(5, 0.4, 1.5, queue::Discipline::SpecialPriority);
-  qs.emplace_back(12, 0.2, 5.0, queue::Discipline::Fcfs);  // > one lane block
-  return qs;
-}
-
-TEST(BatchMarginals, MatchesScalarBitwise) {
-  const auto qs = mixed_queues();
-  for (double load : {1e-6, 0.2, 0.5, 0.8, 0.95}) {
-    std::vector<double> lam(qs.size());
-    for (std::size_t i = 0; i < qs.size(); ++i) lam[i] = load * qs[i].max_generic_rate();
-    std::vector<double> g(qs.size());
-    queue::batch_lagrange_marginal(qs, lam, g);
-    for (std::size_t i = 0; i < qs.size(); ++i) {
-      EXPECT_EQ(g[i], qs[i].lagrange_marginal(lam[i])) << "i=" << i << " load=" << load;
-    }
-  }
-}
-
-TEST(BatchMarginals, DerivativeFormMatchesScalarBitwise) {
-  const auto qs = mixed_queues();
-  for (double load : {1e-6, 0.2, 0.5, 0.8, 0.95, 0.999}) {
-    std::vector<double> lam(qs.size());
-    for (std::size_t i = 0; i < qs.size(); ++i) lam[i] = load * qs[i].max_generic_rate();
-    std::vector<double> g(qs.size());
-    std::vector<double> dg(qs.size());
-    queue::batch_lagrange_marginal_with_derivative(qs, lam, g, dg);
-    for (std::size_t i = 0; i < qs.size(); ++i) {
-      const auto [sg, sdg] = qs[i].lagrange_marginal_with_derivative(lam[i]);
-      EXPECT_EQ(g[i], sg) << "i=" << i << " load=" << load;
-      EXPECT_EQ(dg[i], sdg) << "i=" << i << " load=" << load;
-    }
-  }
-}
-
-TEST(BatchMarginals, OneQueueOverloadMatchesScalar) {
-  const queue::BladeQueue q(8, 0.25, 2.0, queue::Discipline::Fcfs);
-  std::vector<double> lam;
-  for (int k = 0; k <= 40; ++k) {
-    lam.push_back(q.max_generic_rate() * 0.999 * static_cast<double>(k) / 40.0);
-  }
-  std::vector<double> g(lam.size());
-  std::vector<double> dg(lam.size());
-  queue::batch_lagrange_marginal(q, lam, g);
-  for (std::size_t i = 0; i < lam.size(); ++i) EXPECT_EQ(g[i], q.lagrange_marginal(lam[i]));
-  queue::batch_lagrange_marginal_with_derivative(q, lam, g, dg);
-  for (std::size_t i = 0; i < lam.size(); ++i) {
-    const auto [sg, sdg] = q.lagrange_marginal_with_derivative(lam[i]);
-    EXPECT_EQ(g[i], sg);
-    EXPECT_EQ(dg[i], sdg);
-  }
-}
-
-TEST(BatchMarginals, SizeMismatchThrows) {
-  const auto qs = mixed_queues();
-  std::vector<double> lam(qs.size() - 1, 0.1);
-  std::vector<double> g(qs.size());
-  EXPECT_THROW(queue::batch_lagrange_marginal(qs, lam, g), std::invalid_argument);
-}
-
-// --- certified marginal surrogate -----------------------------------------
-
-// The certified bound must be honest on sweeps far denser than the
-// certification grid: 20k evaluation points against <= 432 probe points.
-TEST(MarginalSurrogate, CertifiedBoundIsHonest) {
-  std::vector<queue::BladeQueue> qs;
-  qs.emplace_back(8, 0.25, 1.0, queue::Discipline::Fcfs);
-  qs.emplace_back(2, 0.8, 0.4, queue::Discipline::Fcfs);
-  qs.emplace_back(4, 0.5, 2.0, queue::Discipline::SpecialPriority);
-  qs.emplace_back(64, 0.05, 100.0, queue::Discipline::Fcfs);
-  for (const auto& q : qs) {
-    const opt::MarginalSurrogate s(q);
-    ASSERT_GT(s.error_bound(), 0.0);
-    ASSERT_GT(s.hi(), s.lo());
-    const int kPoints = 20000;
-    double worst = 0.0;
-    std::vector<double> xs(kPoints + 1);
-    for (int k = 0; k <= kPoints; ++k) {
-      xs[k] = s.lo() + (s.hi() - s.lo()) * static_cast<double>(k) / kPoints;
-    }
-    std::vector<double> exact(xs.size());
-    queue::batch_lagrange_marginal(q, xs, exact);
-    for (std::size_t k = 0; k < xs.size(); ++k) {
-      const auto v = s.eval_with_bound(xs[k]);
-      const double err = std::abs(v.g - exact[k]);
-      // The segment-local bound must hold point by point...
-      ASSERT_LE(err, v.bound) << "m=" << q.blades() << " x=" << xs[k];
-      ASSERT_LE(v.bound, s.error_bound());
-      worst = std::max(worst, err);
-    }
-    // ...and the global bound over the whole sweep.
-    EXPECT_LE(worst, s.error_bound()) << "m=" << q.blades();
-  }
-}
-
-TEST(MarginalSurrogate, DomainAndOptionValidation) {
-  const queue::BladeQueue q(4, 0.5, 1.0, queue::Discipline::Fcfs);
-  const opt::MarginalSurrogate s(q);
-  EXPECT_TRUE(s.in_domain(0.0));
-  EXPECT_FALSE(s.in_domain(-1e-9));
-  EXPECT_FALSE(s.in_domain(q.max_generic_rate()));
-  EXPECT_THROW((void)s.eval(q.max_generic_rate()), std::domain_error);
-  EXPECT_THROW((void)s.eval(-1e-9), std::domain_error);
-
-  opt::MarginalSurrogate::Options bad;
-  bad.segments = 1;
-  EXPECT_THROW(opt::MarginalSurrogate(q, bad), std::invalid_argument);
-  bad = {};
-  bad.certify_samples = 0;
-  EXPECT_THROW(opt::MarginalSurrogate(q, bad), std::invalid_argument);
-  bad = {};
-  bad.safety_factor = 0.5;
-  EXPECT_THROW(opt::MarginalSurrogate(q, bad), std::invalid_argument);
-  bad = {};
-  bad.domain_margin = 1.0;
-  EXPECT_THROW(opt::MarginalSurrogate(q, bad), std::invalid_argument);
-}
-
-TEST(MarginalCacheUnit, LifecycleAndStats) {
-  opt::MarginalCache cache;
-  EXPECT_FALSE(cache.valid());
-  EXPECT_FALSE(cache.eval(0, 0.1).has_value());
-
-  std::vector<queue::BladeQueue> qs;
-  qs.emplace_back(4, 0.5, 1.0, queue::Discipline::Fcfs);
-  qs.emplace_back(2, 0.8, 0.2, queue::Discipline::Fcfs);
-  cache.configure(qs);
-  ASSERT_TRUE(cache.valid());
-  ASSERT_EQ(cache.size(), 2u);
-
-  const double x = 0.25 * qs[0].max_generic_rate();
-  const auto e = cache.eval(0, x);
-  ASSERT_TRUE(e.has_value());
-  EXPECT_NEAR(e->g, qs[0].lagrange_marginal(x), e->bound);
-  EXPECT_EQ(cache.stats().builds, 1u);  // lazily built only server 0
-  EXPECT_EQ(cache.stats().hits, 1u);
-
-  // Past the certified domain: nullopt, counted.
-  EXPECT_FALSE(cache.eval(1, qs[1].max_generic_rate()).has_value());
-  EXPECT_EQ(cache.stats().out_of_domain, 1u);
-
-  // Exact fallthrough path equals the scalar chain bitwise.
-  std::vector<double> lam{x, 0.1 * qs[1].max_generic_rate()};
-  std::vector<double> g(2);
-  cache.exact(lam, g);
-  EXPECT_EQ(g[0], qs[0].lagrange_marginal(lam[0]));
-  EXPECT_EQ(g[1], qs[1].lagrange_marginal(lam[1]));
-
-  cache.invalidate();
-  EXPECT_FALSE(cache.valid());
-  EXPECT_EQ(cache.stats().invalidations, 1u);
-  cache.invalidate();  // already invalid: not double-counted
-  EXPECT_EQ(cache.stats().invalidations, 1u);
-  EXPECT_FALSE(cache.eval(0, x).has_value());
-  EXPECT_THROW(cache.exact(lam, g), std::logic_error);
-}
-
-// --- controller marginal-drift mode ---------------------------------------
-
-runtime::ControllerConfig drift_config() {
-  runtime::ControllerConfig cfg;
-  cfg.half_life = 2.0;
-  cfg.check_interval = 8;
-  cfg.min_arrivals = 8;
-  cfg.initial_lambda = model::paper_example_lambda();
-  cfg.marginal_drift = true;
-  return cfg;
-}
-
-TEST(MarginalDriftMode, ConfigValidation) {
-  const auto cluster = model::paper_example_cluster();
-  auto cfg = drift_config();
-  cfg.marginal_cache.segments = 1;
-  EXPECT_THROW(runtime::Controller(cluster, cfg), std::invalid_argument);
-  cfg = drift_config();
-  cfg.marginal_cache.safety_factor = 0.0;
-  EXPECT_THROW(runtime::Controller(cluster, cfg), std::invalid_argument);
-  cfg = drift_config();
-  cfg.marginal_cache.certify_samples = 0;
-  EXPECT_THROW(runtime::Controller(cluster, cfg), std::invalid_argument);
-  cfg = drift_config();
-  cfg.marginal_cache.domain_margin = 1.5;
-  EXPECT_THROW(runtime::Controller(cluster, cfg), std::invalid_argument);
-}
-
-TEST(MarginalDriftMode, StationaryLoadSettlesThroughTheCache) {
-  const auto cluster = model::paper_example_cluster();
-  runtime::Controller ctrl(cluster, drift_config());
-  const double lambda = model::paper_example_lambda();
-  sim::RngStream rng(11, 0);
-  double t = 0.0;
-  for (int k = 0; k < 2000; ++k) ctrl.on_generic_arrival(t += 1.0 / lambda, rng.uniform());
-
-  const auto& st = ctrl.stats();
-  // The published split stays optimal for a stationary load, so drift
-  // checks must keep settling via the surrogate, not re-solving.
-  EXPECT_GT(st.mcache_hits, 0u);
-  EXPECT_GT(st.skipped_by_hysteresis, 0u);
-  EXPECT_EQ(ctrl.mode(), runtime::Mode::Optimal);
-  EXPECT_GT(ctrl.marginal_cache_stats().builds, 0u);
-  EXPECT_LT(st.resolves, 12u) << "stationary load should not keep re-solving";
-}
-
-TEST(MarginalDriftMode, LoadShiftTriggersResolveAndInvalidation) {
-  const auto cluster = model::paper_example_cluster();
-  runtime::Controller ctrl(cluster, drift_config());
-  sim::RngStream rng(12, 0);
-  double t = 0.0;
-  const double low = 0.3 * cluster.max_generic_rate();
-  for (int k = 0; k < 1000; ++k) ctrl.on_generic_arrival(t += 1.0 / low, rng.uniform());
-  const std::uint64_t resolves_before = ctrl.stats().resolves;
-  const std::uint64_t invalidations_before = ctrl.marginal_cache_stats().invalidations;
-
-  const double high = 0.85 * cluster.max_generic_rate();
-  for (int k = 0; k < 2000; ++k) ctrl.on_generic_arrival(t += 1.0 / high, rng.uniform());
-  EXPECT_GT(ctrl.stats().resolves, resolves_before)
-      << "a 3x load shift must defeat the marginal-drift hysteresis";
-  // Every re-solve starts a new epoch: the surrogates fitted to the old
-  // split must have been dropped.
-  EXPECT_GT(ctrl.marginal_cache_stats().invalidations, invalidations_before);
-}
-
-TEST(MarginalDriftMode, TopologyChangeInvalidatesTheCache) {
-  const auto cluster = model::paper_example_cluster();
-  runtime::Controller ctrl(cluster, drift_config());
-  const double lambda = 0.4 * cluster.max_generic_rate();
-  sim::RngStream rng(13, 0);
-  double t = 0.0;
-  for (int k = 0; k < 500; ++k) ctrl.on_generic_arrival(t += 1.0 / lambda, rng.uniform());
-  ASSERT_GT(ctrl.marginal_cache_stats().builds, 0u);
-  const std::uint64_t invalidations_before = ctrl.marginal_cache_stats().invalidations;
-  ctrl.on_failure(t += 1e-3, 0);
-  EXPECT_GT(ctrl.marginal_cache_stats().invalidations, invalidations_before);
-  // And the criterion keeps working over the surviving topology.
-  for (int k = 0; k < 500; ++k) ctrl.on_generic_arrival(t += 1.0 / lambda, rng.uniform());
-  EXPECT_EQ(ctrl.mode(), runtime::Mode::Optimal);
-}
-
-// --- DispatchShard --------------------------------------------------------
-
-runtime::ControllerConfig quiet_config() {
-  runtime::ControllerConfig cfg;
-  cfg.half_life = 2.0;
-  cfg.initial_lambda = model::paper_example_lambda();
-  return cfg;
-}
-
-TEST(DispatchShard, ConfigValidation) {
-  const auto cluster = model::paper_example_cluster();
-  const runtime::Controller ctrl(cluster, quiet_config());
-  runtime::DispatchShardConfig cfg;
-  cfg.refresh_interval = 0;
-  EXPECT_THROW(runtime::DispatchShard(ctrl, cfg), std::invalid_argument);
-}
-
-TEST(DispatchShard, DeterministicAcrossInstances) {
-  const auto cluster = model::paper_example_cluster();
-  const runtime::Controller ctrl(cluster, quiet_config());
-  runtime::DispatchShardConfig cfg;
-  cfg.seed = 99;
-  cfg.stream = 3;
-  runtime::DispatchShard a(ctrl, cfg);
-  runtime::DispatchShard b(ctrl, cfg);
-  for (int k = 0; k < 10000; ++k) {
-    const std::size_t ra = a.route();
-    ASSERT_EQ(ra, b.route()) << "draw " << k;
-    ASSERT_LT(ra, cluster.size());
-  }
-  EXPECT_EQ(a.routed(), 10000u);
-  EXPECT_EQ(a.refreshes(), b.refreshes());
-}
-
-TEST(DispatchShard, DistinctStreamsDecorrelate) {
-  const auto cluster = model::paper_example_cluster();
-  const runtime::Controller ctrl(cluster, quiet_config());
-  runtime::DispatchShardConfig cfg;
-  cfg.seed = 99;
-  runtime::DispatchShard a(ctrl, cfg);
-  cfg.stream = 1;
-  runtime::DispatchShard b(ctrl, cfg);
-  int differ = 0;
-  for (int k = 0; k < 4096; ++k) differ += a.route() != b.route() ? 1 : 0;
-  EXPECT_GT(differ, 0) << "streams 0 and 1 routed identically";
-}
-
-// sample_n must be draw-for-draw the same machine as route(): same RNG
-// consumption, same refresh points, regardless of how the batch splits.
-TEST(DispatchShard, SampleNMatchesRouteExactly) {
-  const auto cluster = model::paper_example_cluster();
-  const runtime::Controller ctrl(cluster, quiet_config());
-  runtime::DispatchShardConfig cfg;
-  cfg.seed = 7;
-  cfg.refresh_interval = 64;
-  runtime::DispatchShard one(ctrl, cfg);
-  runtime::DispatchShard batched(ctrl, cfg);
-
-  std::vector<std::size_t> expected;
-  for (int k = 0; k < 3000; ++k) expected.push_back(one.route());
-
-  std::vector<std::size_t> got;
-  const std::size_t chunks[] = {1, 7, 64, 128, 300, 2500};
-  for (std::size_t c : chunks) {
-    std::vector<std::size_t> buf(c);
-    batched.sample_n(buf);
-    got.insert(got.end(), buf.begin(), buf.end());
-  }
-  ASSERT_EQ(got.size(), expected.size());
-  for (std::size_t i = 0; i < got.size(); ++i) ASSERT_EQ(got[i], expected[i]) << "i=" << i;
-  EXPECT_EQ(batched.routed(), one.routed());
-  EXPECT_EQ(batched.refreshes(), one.refreshes());
-}
-
-TEST(DispatchShard, RefreshAccountingAmortizes) {
-  const auto cluster = model::paper_example_cluster();
-  const runtime::Controller ctrl(cluster, quiet_config());
-  runtime::DispatchShardConfig cfg;
-  cfg.refresh_interval = 64;
-  runtime::DispatchShard shard(ctrl, cfg);
-  for (int k = 0; k < 1000; ++k) (void)shard.route();
-  // ceil(1000 / 64) = 16 snapshot acquisitions for 1000 routes.
-  EXPECT_EQ(shard.refreshes(), 16u);
-  shard.invalidate_snapshot();
-  (void)shard.route();
-  EXPECT_EQ(shard.refreshes(), 17u);
-}
-
-TEST(DispatchShard, BlackoutRoutesNposThenRecovers) {
-  const auto cluster = model::paper_example_cluster();
-  runtime::Controller ctrl(cluster, quiet_config());
-  double t = 0.0;
-  for (std::size_t i = 0; i < cluster.size(); ++i) ctrl.on_failure(t += 1e-3, i);
-  ASSERT_EQ(ctrl.mode(), runtime::Mode::Blackout);
-
-  runtime::DispatchShardConfig cfg;
-  cfg.refresh_interval = 8;
-  runtime::DispatchShard shard(ctrl, cfg);
-  for (int k = 0; k < 20; ++k) EXPECT_EQ(shard.route(), runtime::DispatchShard::npos);
-  EXPECT_EQ(shard.snapshot(), nullptr);
-
-  ctrl.on_recovery(t += 1e-3, 1);
-  shard.invalidate_snapshot();
-  for (int k = 0; k < 20; ++k) EXPECT_EQ(shard.route(), 1u);  // only survivor
-}
-
-// Degraded-MODE transitions must not wait out the refresh interval: the
-// controller bumps its publish epoch on every mode change, and route()
-// re-checks the epoch even mid-interval. With a practically-infinite
-// refresh interval, a shard that kept serving its pre-blackout snapshot
-// would route to dead servers for ~a million draws — the bounded
-// staleness contract (staleness <= refresh_interval) only covers
-// same-mode republications, never mode flips.
-TEST(DispatchShard, ModeTransitionInvalidatesSnapshotImmediately) {
-  const auto cluster = model::paper_example_cluster();
-  runtime::Controller ctrl(cluster, quiet_config());
-  runtime::DispatchShardConfig cfg;
-  cfg.refresh_interval = 1u << 20;
-  runtime::DispatchShard shard(ctrl, cfg);
-  ASSERT_NE(shard.route(), runtime::DispatchShard::npos);  // healthy table cached
-
-  double t = 0.0;
-  for (std::size_t i = 0; i < cluster.size(); ++i) ctrl.on_failure(t += 1e-3, i);
-  ASSERT_EQ(ctrl.mode(), runtime::Mode::Blackout);
-  // No invalidate_snapshot(), no refresh budget spent: the epoch bump
-  // alone must retire the stale table on the very next draw.
-  EXPECT_EQ(shard.route(), runtime::DispatchShard::npos);
-
-  ctrl.on_recovery(t += 1e-3, 2);  // Blackout -> Fallback mode transition
-  for (int k = 0; k < 20; ++k) EXPECT_EQ(shard.route(), 2u);
-}
-
-// A republished table reaches the shard within refresh_interval draws.
-TEST(DispatchShard, PicksUpRepublishedTable) {
-  const auto cluster = model::paper_example_cluster();
-  runtime::Controller ctrl(cluster, quiet_config());
-  runtime::DispatchShardConfig cfg;
-  cfg.refresh_interval = 32;
-  runtime::DispatchShard shard(ctrl, cfg);
-  (void)shard.route();  // acquire the pre-failure table
-
-  ctrl.on_failure(0.1, 0);  // re-solve + republish without server 0
-  std::vector<std::size_t> tail;
-  for (int k = 0; k < 512; ++k) tail.push_back(shard.route());
-  for (std::size_t k = cfg.refresh_interval; k < tail.size(); ++k) {
-    ASSERT_NE(tail[k], 0u) << "stale snapshot outlived the refresh interval";
-  }
-}
-
 TEST(FastRngUnit, UniformInRangeAndStreamsDiffer) {
-  runtime::FastRng a(5, 0);
-  runtime::FastRng b(5, 1);
+  util::FastRng a(5, 0);
+  util::FastRng b(5, 1);
   int differ = 0;
   for (int k = 0; k < 10000; ++k) {
     const double u = a.uniform();
@@ -628,57 +129,6 @@ TEST(FastRngUnit, UniformInRangeAndStreamsDiffer) {
     differ += a.next() != b.next() ? 1 : 0;
   }
   EXPECT_GT(differ, 9000);
-}
-
-// --- concurrency: K routing threads vs a live publisher -------------------
-// Rides the fast label into the TSan preset: every weights() load a shard
-// refresh performs races against the control thread's table swaps and
-// topology churn; TSan must see the slot's release/acquire edges.
-TEST(DispatchShardConcurrency, RoutingThreadsVsPublishingController) {
-  const auto cluster = model::paper_example_cluster();
-  runtime::Controller ctrl(cluster, quiet_config());
-  const std::size_t n = cluster.size();
-
-  constexpr int kThreads = 4;
-  constexpr int kRoutesPerThread = 40000;
-  std::atomic<std::uint64_t> bad{0};
-
-  std::vector<std::thread> routers;
-  routers.reserve(kThreads);
-  for (int w = 0; w < kThreads; ++w) {
-    routers.emplace_back([&, w] {
-      runtime::DispatchShardConfig cfg;
-      cfg.seed = 17;
-      cfg.stream = static_cast<std::uint64_t>(w);
-      cfg.refresh_interval = 16;  // refresh often: maximize slot contention
-      runtime::DispatchShard shard(ctrl, cfg);
-      std::vector<std::size_t> buf(128);
-      int routed = 0;
-      while (routed < kRoutesPerThread) {
-        shard.sample_n(buf);
-        for (std::size_t idx : buf) {
-          if (idx >= n && idx != runtime::DispatchShard::npos) bad.fetch_add(1);
-        }
-        routed += static_cast<int>(buf.size());
-      }
-    });
-  }
-
-  // Control thread: continuous republishes plus full failure/recovery
-  // churn (tables of changing support, occasional blackout).
-  double t = 0.0;
-  for (int round = 0; round < 60; ++round) {
-    ctrl.resolve_now(t += 0.5);
-    const std::size_t victim = static_cast<std::size_t>(round) % n;
-    ctrl.on_failure(t += 0.5, victim);
-    if (round % 7 == 0) {
-      for (std::size_t i = 0; i < n; ++i) ctrl.on_failure(t += 1e-3, i);  // blackout
-    }
-    for (std::size_t i = 0; i < n; ++i) ctrl.on_recovery(t += 1e-3, i);
-  }
-  for (auto& th : routers) th.join();
-  EXPECT_EQ(bad.load(), 0u);
-  EXPECT_EQ(ctrl.mode(), runtime::Mode::Optimal);
 }
 
 }  // namespace

@@ -163,20 +163,6 @@ TEST(ProbabilisticDispatcher, BinarySearchMatchesLinearScanSequence) {
   }
 }
 
-TEST(DynamicWeightDispatcher, FollowsThePublishedTable) {
-  auto table = std::make_shared<const util::AliasTable>(std::vector<double>{1.0, 0.0});
-  std::atomic<std::shared_ptr<const util::AliasTable>> slot(table);
-  sim::DynamicWeightDispatcher d([&slot] { return slot.load(); }, sim::RngStream(3, 3));
-  const std::vector<sim::ServerSim*> servers(2, nullptr);
-  for (int k = 0; k < 100; ++k) EXPECT_EQ(d.route(servers), 0u);
-  slot.store(std::make_shared<const util::AliasTable>(std::vector<double>{0.0, 1.0}));
-  for (int k = 0; k < 100; ++k) EXPECT_EQ(d.route(servers), 1u);
-  // Null table: uniform fallback still returns a valid index.
-  slot.store(nullptr);
-  for (int k = 0; k < 100; ++k) EXPECT_LT(d.route(servers), 2u);
-  EXPECT_THROW(sim::DynamicWeightDispatcher(nullptr, sim::RngStream(1, 1)), std::invalid_argument);
-}
-
 TEST(ServerSim, BladeDrainIsGracefulAndRecoveryRestartsQueue) {
   sim::Engine engine;
   sim::ResponseTimeCollector collector;
@@ -429,8 +415,10 @@ TEST(Controller, RejectsOutOfRangeServerIndices) {
 }
 
 // The TSan-facing check: dispatch threads hammer the read side while the
-// control thread republishes through failures, recoveries, and re-solves.
-// Labeled fast so every sanitizer tier runs it.
+// control thread republishes through failures, recoveries, re-solves, and
+// a full-fleet blackout every 7th round (the slot holds a null table
+// until the first recovery republishes). Labeled fast so every sanitizer
+// tier runs it.
 TEST(Controller, PublishWhileSamplingIsRaceFree) {
   const auto c = model::paper_example_cluster();
   auto cfg = quick_config();
@@ -462,13 +450,19 @@ TEST(Controller, PublishWhileSamplingIsRaceFree) {
     const std::size_t victim = static_cast<std::size_t>(round) % c.size();
     ctrl.on_failure(t += 0.01, victim);
     for (int k = 0; k < 20; ++k) ctrl.on_generic_arrival(t += 0.01, 0.5);
-    ctrl.on_recovery(t += 0.01, victim);
+    if (round % 7 == 0) {
+      for (std::size_t i = 0; i < c.size(); ++i) ctrl.on_failure(t += 1e-3, i);
+      for (std::size_t i = 0; i < c.size(); ++i) ctrl.on_recovery(t += 1e-3, i);
+    } else {
+      ctrl.on_recovery(t += 0.01, victim);
+    }
     ctrl.resolve_now(t);
   }
   stop.store(true);
   for (auto& th : readers) th.join();
   EXPECT_GT(sampled.load(), 0u);
   EXPECT_GE(ctrl.stats().publications, 400u);
+  EXPECT_EQ(ctrl.mode(), runtime::Mode::Optimal);
 }
 
 }  // namespace

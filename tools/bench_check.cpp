@@ -14,9 +14,9 @@
 //   bench_check bench/baselines/BENCH_bench_solver_scaling.json
 //               BENCH_bench_solver_scaling.json
 //               numerics.erlang_c_evals optimizer.solves 2.0
-//   bench_check --min-ratio bench/baselines/BENCH_bench_dispatch_throughput.json
-//               BENCH_bench_dispatch_throughput.json
-//               runtime.shard.routed runtime.shard.bench.route_seconds:sum 0.4
+//   bench_check --min-ratio bench/baselines/BENCH_bench_gray_failure.json
+//               BENCH_bench_gray_failure.json
+//               bench.gray.slowdown.t_off:value bench.gray.slowdown.t_on:value 0.08
 #include <iostream>
 #include <string>
 #include <vector>
