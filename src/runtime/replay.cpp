@@ -239,7 +239,15 @@ void append_sim_event(sim::FailureSchedule& sched, const ReplayEvent& e) {
 /// admission and the published alias table for routing. Rate changes
 /// cancel and re-draw the pending interarrival — valid because the
 /// exponential is memoryless.
-struct GenericDriver {
+struct GenericDriver final : sim::EventTarget {
+  GenericDriver(sim::Engine& engine, Controller& controller,
+                const std::vector<sim::ServerSim*>& servers, sim::ServiceDistribution work,
+                sim::RngStream arrivals, sim::RngStream routing, sim::RngStream admission,
+                FaultInjector* chaos)
+      : engine(engine), controller(controller), servers(servers), work(work),
+        arrivals(std::move(arrivals)), routing(std::move(routing)),
+        admission(std::move(admission)), chaos(chaos) {}
+
   sim::Engine& engine;
   Controller& controller;
   const std::vector<sim::ServerSim*>& servers;
@@ -268,9 +276,11 @@ struct GenericDriver {
 
   void schedule_next() {
     if (!(rate > 0.0)) return;
-    pending = engine.schedule(arrivals.exponential(1.0 / rate), [this] { fire(); });
+    pending = engine.schedule(arrivals.exponential(1.0 / rate), *this, 0);
     has_pending = true;
   }
+
+  void on_event(std::uint32_t /*tag*/) override { fire(); }
 
   void fire() {
     has_pending = false;
@@ -545,7 +555,13 @@ ReplayResult replay_impl(const model::Cluster& cluster, const ControllerConfig& 
 /// The policy-harness counterpart of GenericDriver: same variable-rate
 /// arrival process (same RNG stream), but every admitted-by-default task
 /// routes through a DispatchPolicy over the live server state.
-struct PolicyDriver {
+struct PolicyDriver final : sim::EventTarget {
+  PolicyDriver(sim::Engine& engine, policy::DispatchPolicy& policy,
+               const std::vector<sim::ServerSim*>& servers, std::vector<std::uint64_t>& routed,
+               sim::ServiceDistribution work, sim::RngStream arrivals)
+      : engine(engine), policy(policy), servers(servers), routed(routed), work(work),
+        arrivals(std::move(arrivals)) {}
+
   sim::Engine& engine;
   policy::DispatchPolicy& policy;
   const std::vector<sim::ServerSim*>& servers;
@@ -567,9 +583,11 @@ struct PolicyDriver {
 
   void schedule_next() {
     if (!(rate > 0.0)) return;
-    pending = engine.schedule(arrivals.exponential(1.0 / rate), [this] { fire(); });
+    pending = engine.schedule(arrivals.exponential(1.0 / rate), *this, 0);
     has_pending = true;
   }
+
+  void on_event(std::uint32_t /*tag*/) override { fire(); }
 
   static policy::ServerState read_state(const void* ctx, std::size_t i) {
     const auto& raw = *static_cast<const std::vector<sim::ServerSim*>*>(ctx);

@@ -19,10 +19,10 @@ PoissonSource::PoissonSource(Engine& engine, double rate, ServiceDistribution wo
 }
 
 void PoissonSource::start() {
-  engine_.schedule(rng_.exponential(1.0 / rate_), [this] { emit_and_reschedule(); });
+  engine_.schedule(rng_.exponential(1.0 / rate_), *this, 0);
 }
 
-void PoissonSource::emit_and_reschedule() {
+void PoissonSource::on_event(std::uint32_t /*tag*/) {
   if (stopped_) return;
   Task t;
   t.cls = cls_;
@@ -30,7 +30,7 @@ void PoissonSource::emit_and_reschedule() {
   t.work = work_.sample(rng_);
   ++emitted_;
   sink_(t);
-  engine_.schedule(rng_.exponential(1.0 / rate_), [this] { emit_and_reschedule(); });
+  engine_.schedule(rng_.exponential(1.0 / rate_), *this, 0);
 }
 
 }  // namespace blade::sim

@@ -12,7 +12,7 @@
 
 namespace blade::sim {
 
-class PoissonSource {
+class PoissonSource final : private EventTarget {
  public:
   using Sink = std::function<void(Task)>;
 
@@ -39,7 +39,8 @@ class PoissonSource {
   [[nodiscard]] std::uint64_t emitted() const noexcept { return emitted_; }
 
  private:
-  void emit_and_reschedule();
+  /// The next arrival is due (the only event a source schedules).
+  void on_event(std::uint32_t /*tag*/) override;
 
   Engine& engine_;
   double rate_;

@@ -1,5 +1,6 @@
 #include "sim/engine.hpp"
 
+#include <limits>
 #include <stdexcept>
 
 #include "obs/obs.hpp"
@@ -12,18 +13,20 @@ EventId Engine::schedule(double delay, std::function<void()> fn) {
 }
 
 EventId Engine::schedule_at(double t, std::function<void()> fn) {
-  if (t < now_) throw std::invalid_argument("Engine::schedule_at: time in the past");
+  // Written so NaN fails too: a NaN key would never come due.
+  if (!(t >= now_)) throw std::invalid_argument("Engine::schedule_at: time in the past");
   return queue_.push(t, std::move(fn));
 }
 
-void Engine::run_until(double t_end) {
+void Engine::drain(double t_end) {
 #if BLADE_OBS_ENABLED
   BLADE_OBS_TIMER("sim.run_seconds");
   const std::uint64_t first = processed_;
+  std::uint64_t callbacks = 0;
 #endif
-  while (!queue_.empty() && queue_.next_time() <= t_end) {
-    auto [t, fn] = queue_.pop();
-    now_ = t;
+  EventQueue::Fired ev;
+  while (queue_.pop_until(t_end, ev)) {
+    now_ = ev.time;
     ++processed_;
 #if BLADE_OBS_ENABLED
     // Sample the future-event-list size every 256 events: cheap enough to
@@ -32,33 +35,27 @@ void Engine::run_until(double t_end) {
       BLADE_OBS_OBSERVE("sim.event_heap_size", static_cast<double>(queue_.size()));
     }
 #endif
-    fn();
+    if (ev.target != nullptr) {
+      ev.target->on_event(ev.tag);
+    } else {
+#if BLADE_OBS_ENABLED
+      ++callbacks;
+#endif
+      ev.fn();
+      ev.fn = nullptr;  // the closure dies with its event
+    }
   }
 #if BLADE_OBS_ENABLED
   BLADE_OBS_COUNT_N("sim.events", processed_ - first);
+  BLADE_OBS_COUNT_N("sim.callback_events", callbacks);
 #endif
+}
+
+void Engine::run_until(double t_end) {
+  drain(t_end);
   if (now_ < t_end) now_ = t_end;
 }
 
-void Engine::run() {
-#if BLADE_OBS_ENABLED
-  BLADE_OBS_TIMER("sim.run_seconds");
-  const std::uint64_t first = processed_;
-#endif
-  while (!queue_.empty()) {
-    auto [t, fn] = queue_.pop();
-    now_ = t;
-    ++processed_;
-#if BLADE_OBS_ENABLED
-    if ((processed_ & 0xFFu) == 0) {
-      BLADE_OBS_OBSERVE("sim.event_heap_size", static_cast<double>(queue_.size()));
-    }
-#endif
-    fn();
-  }
-#if BLADE_OBS_ENABLED
-  BLADE_OBS_COUNT_N("sim.events", processed_ - first);
-#endif
-}
+void Engine::run() { drain(std::numeric_limits<double>::infinity()); }
 
 }  // namespace blade::sim

@@ -45,7 +45,21 @@ MmppSource::MmppSource(Engine& engine, MmppParams params, ServiceDistribution wo
 
 void MmppSource::start() {
   schedule_arrival();
-  engine_.schedule(rng_.exponential(params_.sojourn_quiet), [this] { toggle_state(); });
+  engine_.schedule(rng_.exponential(params_.sojourn_quiet), *this, kToggle);
+}
+
+void MmppSource::on_event(std::uint32_t tag) {
+  if (tag == kToggle) {
+    toggle_state();
+    return;
+  }
+  Task t;
+  t.cls = cls_;
+  t.arrival_time = engine_.now();
+  t.work = work_.sample(rng_);
+  ++emitted_;
+  sink_(t);
+  schedule_arrival();
 }
 
 void MmppSource::schedule_arrival() {
@@ -54,15 +68,7 @@ void MmppSource::schedule_arrival() {
     pending_arrival_ = 0;  // silent state; the next toggle reschedules
     return;
   }
-  pending_arrival_ = engine_.schedule(rng_.exponential(1.0 / rate), [this] {
-    Task t;
-    t.cls = cls_;
-    t.arrival_time = engine_.now();
-    t.work = work_.sample(rng_);
-    ++emitted_;
-    sink_(t);
-    schedule_arrival();
-  });
+  pending_arrival_ = engine_.schedule(rng_.exponential(1.0 / rate), *this, kArrival);
 }
 
 void MmppSource::toggle_state() {
@@ -71,7 +77,7 @@ void MmppSource::toggle_state() {
   busy_ = !busy_;
   schedule_arrival();
   const double sojourn = busy_ ? params_.sojourn_busy : params_.sojourn_quiet;
-  engine_.schedule(rng_.exponential(sojourn), [this] { toggle_state(); });
+  engine_.schedule(rng_.exponential(sojourn), *this, kToggle);
 }
 
 }  // namespace blade::sim

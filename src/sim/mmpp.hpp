@@ -36,7 +36,7 @@ struct MmppParams {
                                             double sojourn = 10.0);
 };
 
-class MmppSource {
+class MmppSource final : private EventTarget {
  public:
   using Sink = std::function<void(Task)>;
 
@@ -50,6 +50,9 @@ class MmppSource {
   [[nodiscard]] bool busy_state() const noexcept { return busy_; }
 
  private:
+  enum Tag : std::uint32_t { kArrival, kToggle };
+
+  void on_event(std::uint32_t tag) override;
   void schedule_arrival();
   void toggle_state();
 

@@ -87,7 +87,7 @@ void ServerSim::start_on_slot(std::size_t slot, Task task) {
   if (eff > 0.0) {
     const double service = task.work / eff;
     s.completion_time = engine_.now() + service;
-    s.completion = engine_.schedule(service, [this, slot] { complete_slot(slot); });
+    s.completion = engine_.schedule(service, *this, static_cast<std::uint32_t>(slot));
   } else {
     // Stalled: the task occupies the blade with its work frozen in
     // s.task.work; set_stalled(false) issues the completion later.
@@ -121,7 +121,7 @@ void ServerSim::reschedule_running(double old_eff) {
     if (eff > 0.0) {
       const double service = remaining / eff;
       s.completion_time = engine_.now() + service;
-      s.completion = engine_.schedule(service, [this, i] { complete_slot(i); });
+      s.completion = engine_.schedule(service, *this, static_cast<std::uint32_t>(i));
     } else {
       s.completion_time = std::numeric_limits<double>::infinity();
     }

@@ -28,7 +28,7 @@ enum class SchedulingMode : std::uint8_t {
   PreemptiveResume,
 };
 
-class ServerSim {
+class ServerSim final : private EventTarget {
  public:
   ServerSim(Engine& engine, unsigned blades, double speed, SchedulingMode mode,
             ResponseTimeCollector& collector);
@@ -106,6 +106,8 @@ class ServerSim {
     double completion_time = 0.0;
   };
 
+  /// A completion event: `tag` is the blade slot that finished.
+  void on_event(std::uint32_t tag) override { complete_slot(tag); }
   void enqueue(Task task);
   [[nodiscard]] std::optional<Task> dequeue();
   void start_on_slot(std::size_t slot, Task task);

@@ -2,6 +2,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <limits>
 #include <vector>
 
 #include "sim/engine.hpp"
@@ -145,6 +146,11 @@ TEST(Engine, RejectsPastScheduling) {
   e.run();
   EXPECT_THROW((void)e.schedule(-1.0, [] {}), std::invalid_argument);
   EXPECT_THROW((void)e.schedule_at(1.0, [] {}), std::invalid_argument);
+  // NaN compares false against everything, so it must be rejected
+  // explicitly: queued at the head it would stall every later event.
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  EXPECT_THROW((void)e.schedule_at(nan, [] {}), std::invalid_argument);
+  EXPECT_THROW((void)e.schedule(nan, [] {}), std::invalid_argument);
 }
 
 }  // namespace

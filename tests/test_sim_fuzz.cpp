@@ -1,10 +1,15 @@
 // Fuzz/stress tests of the simulation substrate: randomized event-queue
-// workloads (time ordering under heavy cancellation), thread-pool load,
+// workloads (time ordering under heavy cancellation, a reference model of
+// typed/callback events and generation ids), thread-pool load,
 // and conservation invariants of full cluster runs.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <atomic>
+#include <cstdint>
+#include <functional>
+#include <set>
+#include <utility>
 #include <vector>
 
 #include "model/random_cluster.hpp"
@@ -66,6 +71,95 @@ TEST_P(EventQueueFuzz, InterleavedPushPopKeepsOrdering) {
       clock = t;
     }
   }
+}
+
+/// Appends the tag (a push index) of every typed event it receives.
+struct TagLog final : sim::EventTarget {
+  std::vector<std::uint32_t> fired;
+  void on_event(std::uint32_t tag) override { fired.push_back(tag); }
+};
+
+TEST_P(EventQueueFuzz, MatchesReferenceModelUnderGenerationReuse) {
+  // Reference: the set of live (time, push index) keys. Push indices are
+  // issued in push order, so they break ties exactly as the queue must.
+  sim::RngStream rng(GetParam(), 2);
+  sim::EventQueue q;
+  TagLog log;  // typed and callback events both log their push index
+  std::vector<sim::EventId> ids;
+  std::vector<double> times;
+  std::vector<bool> typed;
+  std::set<std::pair<double, std::uint32_t>> live;
+  std::size_t stale_reused = 0;
+  std::size_t self_cancels = 0;
+  std::size_t mixed_ties = 0;
+
+  std::function<void(double)> push = [&](double t) {
+    const auto k = static_cast<std::uint32_t>(ids.size());
+    const double kind = rng.uniform();
+    times.push_back(t);
+    typed.push_back(kind < 0.5);
+    ids.push_back(0);
+    if (kind < 0.5) {
+      ids[k] = q.push(t, log, k);
+    } else if (kind < 0.8) {
+      ids[k] = q.push(t, [&log, k] { log.fired.push_back(k); });
+    } else {
+      // Re-arms a follow-up, which may take over this event's freed slot,
+      // then cancels its own id: that must not touch the follow-up.
+      ids[k] = q.push(t, [&, k] {
+        log.fired.push_back(k);
+        push(times[k] + 0.25 * static_cast<double>(rng.below(4)));
+        q.cancel(ids[k]);
+        ++self_cancels;
+      });
+    }
+    EXPECT_NE(ids[k], 0u);
+    live.insert({t, k});
+  };
+
+  double clock = 0.0;
+  double last_t = -1.0;
+  std::uint32_t last_k = 0;
+  for (int op = 0; op < 4000; ++op) {
+    const double u = rng.uniform();
+    if (u < 0.45) {
+      // A coarse time grid makes equal-time ties common.
+      push(clock + 0.25 * static_cast<double>(rng.below(8)));
+    } else if (u < 0.65 && !ids.empty()) {
+      const auto k = static_cast<std::uint32_t>(rng.below(ids.size()));
+      const auto it = live.find({times[k], k});
+      if (it != live.end()) {
+        live.erase(it);
+      } else {
+        const auto slot = static_cast<std::uint32_t>(ids[k]);
+        for (const auto& [t, j] : live) {
+          if (static_cast<std::uint32_t>(ids[j]) == slot) {
+            ++stale_reused;  // a stale id whose slot a live event now holds
+            break;
+          }
+        }
+      }
+      q.cancel(ids[k]);
+    } else if (!live.empty()) {
+      const auto [t, k] = *live.begin();
+      live.erase(live.begin());
+      ASSERT_EQ(q.next_time(), t);
+      auto [qt, fn] = q.pop();
+      ASSERT_EQ(qt, t);
+      fn();
+      ASSERT_FALSE(log.fired.empty());
+      ASSERT_EQ(log.fired.back(), k);
+      if (qt == last_t && typed[k] != typed[last_k]) ++mixed_ties;
+      clock = qt;
+      last_t = qt;
+      last_k = k;
+    }
+    ASSERT_EQ(q.size(), live.size());
+    ASSERT_EQ(q.empty(), live.empty());
+  }
+  EXPECT_GT(stale_reused, 0u);
+  EXPECT_GT(self_cancels, 0u);
+  EXPECT_GT(mixed_ties, 0u);
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, EventQueueFuzz, ::testing::Values(1u, 7u, 42u, 1234u),
