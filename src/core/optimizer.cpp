@@ -82,6 +82,7 @@ void SolverWorkspace::clear() {
   rates_lo_.clear();
   rates_hi_.clear();
   scratch_.clear();
+  memo_.clear();
   seed_phi_ = -1.0;
 }
 
@@ -92,6 +93,7 @@ void SolverWorkspace::prepare(std::size_t n) {
   rates_lo_.assign(n, 0.0);
   rates_hi_.assign(n, 0.0);
   scratch_.assign(n, 0.0);
+  memo_.assign(n, detail::MarginalMemo{});
 }
 
 void throw_solver_error(const Error& error) {
@@ -209,7 +211,8 @@ Expected<LoadDistribution> LoadDistributionOptimizer::optimize_core(double lambd
     for (std::size_t i = 0; i < n; ++i) {
       const double lo = use_lo ? ws.rates_lo_[i] - tol : 0.0;
       const double hi = use_hi ? ws.rates_hi_[i] + tol : -1.0;
-      auto r = detail::find_rate_core(opts_, obj, i, phi, lo, hi, &inner_evals, budget);
+      auto r = detail::find_rate_core(opts_, obj, i, phi, lo, hi, &inner_evals, budget,
+                                      &ws.memo_[i]);
       if (!r) {
         err = r.error();
         return std::numeric_limits<double>::quiet_NaN();

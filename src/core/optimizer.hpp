@@ -103,6 +103,21 @@ struct PhiBracket {
   double total_hi = 0.0;  ///< F(phi_hi)
 };
 
+/// Exact-point memo of one server's plain marginal g_i at the two
+/// warm-bracket ends of its inner solve. An end the phi search did not
+/// move is queried again on every later outer probe (and g_i(0) on every
+/// probe for an inactive server), so find_rate_core answers a query whose
+/// rate is bitwise equal to the stored one from here. Valid within one
+/// solve only (the objective changes between solves); the owning
+/// workspace resets it in prepare(). Empty slots hold x < 0, which no
+/// clamped query rate can match.
+struct MarginalMemo {
+  double x_lo = -1.0;
+  double g_lo = 0.0;
+  double x_hi = -1.0;
+  double g_hi = 0.0;
+};
+
 }  // namespace detail
 
 /// Mutable per-solve scratch reused across outer iterations — and, when
@@ -116,7 +131,9 @@ struct PhiBracket {
 ///     warm-start from there instead of from [0, sup);
 ///   * the converged phi of the previous solve on this workspace, used to
 ///     seed the next solve's bracketing expansion (cross-solve warm start
-///     for sweeps over nearby lambda' values).
+///     for sweeps over nearby lambda' values);
+///   * per server, the marginal at its last warm-bracket ends in this
+///     solve (detail::MarginalMemo).
 ///
 /// A workspace is NOT thread-safe: use one per thread (optimize_many
 /// hands one to each pool task). A default-constructed workspace is
@@ -142,6 +159,7 @@ class SolverWorkspace {
   std::vector<double> rates_lo_;  ///< rates at phi_lo
   std::vector<double> rates_hi_;  ///< rates at phi_hi
   std::vector<double> scratch_;   ///< rates at the phi being evaluated
+  std::vector<detail::MarginalMemo> memo_;  ///< per server, this solve only
   double seed_phi_ = -1.0;
 };
 

@@ -189,6 +189,7 @@ void ShardedOptimizer::prepare_workspace(ShardedWorkspace& ws) const {
     st.rates_lo.assign(k, 0.0);
     st.rates_hi.assign(k, 0.0);
     st.scratch.assign(k, 0.0);
+    st.memo.assign(k, detail::MarginalMemo{});
     st.total = 0.0;
     st.evals = 0;
     st.err = Error{ErrorCode::Ok, {}};
@@ -284,7 +285,8 @@ Expected<ShardedLoadDistribution> ShardedOptimizer::optimize_core(double lambda_
       for (std::size_t k = 0; k < cell.classes.size(); ++k) {
         const double lo = use_lo ? st.rates_lo[k] - tol : 0.0;
         const double hi = use_hi ? st.rates_hi[k] + tol : -1.0;
-        auto r = detail::find_rate_core(opts_, obj, k, phi, lo, hi, &st.evals, inert);
+        auto r =
+            detail::find_rate_core(opts_, obj, k, phi, lo, hi, &st.evals, inert, &st.memo[k]);
         if (!r) {
           st.err = r.error();
           return;

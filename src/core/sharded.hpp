@@ -117,6 +117,7 @@ class ShardedWorkspace {
     std::vector<double> rates_lo;  ///< per-class rates at phi_lo
     std::vector<double> rates_hi;  ///< per-class rates at phi_hi
     std::vector<double> scratch;   ///< per-class rates at the probe phi
+    std::vector<detail::MarginalMemo> memo;  ///< per-class, this solve only
     double total = 0.0;            ///< F_c at the probe phi
     long evals = 0;                ///< marginal evaluations in this cell
     Error err{ErrorCode::Ok, {}};  ///< first inner failure, if any

@@ -12,8 +12,10 @@
 #pragma once
 
 #include <algorithm>
+#include <bit>
 #include <chrono>
 #include <cmath>
+#include <cstdint>
 #include <iomanip>
 #include <limits>
 #include <optional>
@@ -118,10 +120,17 @@ struct SolveBudget {
 /// marginal_with_derivative(i, rate) — ResponseTimeObjective for the
 /// flat solver, the per-cell objective (global-lambda' marginal scaling
 /// over a cell sub-cluster) for the sharded one.
+///
+/// `memo` (optional) is server i's bracket-end memo for the current
+/// solve: the plain queries g(lo) and g(hi) return its stored value when
+/// the rate is bitwise the stored one, and store what they compute.
+/// Doubling probes and Newton steps bypass it. A hit is still charged to
+/// `budget` and counted in `evals`, so every evaluation count and budget
+/// trip reads exactly as without the memo.
 template <class Obj>
 Expected<double> find_rate_core(const OptimizerOptions& opts, const Obj& obj, std::size_t i,
                                 double phi, double lo, double hi, long* evals,
-                                SolveBudget& budget) {
+                                SolveBudget& budget, MarginalMemo* memo = nullptr) {
   const double sup = obj.rate_bound(i);
   if (!std::isfinite(sup)) {
     std::ostringstream os;
@@ -142,12 +151,16 @@ Expected<double> find_rate_core(const OptimizerOptions& opts, const Obj& obj, st
   }
 
   std::optional<Error> err;
-  auto g_at = [&](double lam) -> double {
+  // (memo_x, memo_g): the memo slot of a bracket-end query, or null.
+  auto g_at = [&](double lam, double* memo_x, double* memo_g) -> double {
     if (auto e = budget.charge()) {
       err = std::move(e);
       return std::numeric_limits<double>::quiet_NaN();
     }
     if (evals) ++*evals;
+    if (memo_x && std::bit_cast<std::uint64_t>(lam) == std::bit_cast<std::uint64_t>(*memo_x)) {
+      return *memo_g;
+    }
     const double g = obj.marginal(i, lam);
     if (!std::isfinite(g)) {
       std::ostringstream os;
@@ -156,19 +169,23 @@ Expected<double> find_rate_core(const OptimizerOptions& opts, const Obj& obj, st
       err = make_solver_error(ErrorCode::NonFinite, os.str());
       return std::numeric_limits<double>::quiet_NaN();
     }
+    if (memo_x) {
+      *memo_x = lam;
+      *memo_g = g;
+    }
     return g;
   };
 
   // Inactive server: even the first infinitesimal unit of load costs more
   // than phi (paper: the bisection bracket collapses onto lb = 0). From a
   // warm bracket this is the root sitting at/below the cached lower end.
-  double glo = g_at(lo);
+  double glo = memo ? g_at(lo, &memo->x_lo, &memo->g_lo) : g_at(lo, nullptr, nullptr);
   if (err) return std::move(*err);
   if (glo >= phi) return lo;
 
   double ghi;
   if (have_hi) {
-    ghi = g_at(hi);
+    ghi = memo ? g_at(hi, &memo->x_hi, &memo->g_hi) : g_at(hi, nullptr, nullptr);
     if (err) return std::move(*err);
     if (ghi < phi) {
       if (hi >= hard_ub) {
@@ -189,7 +206,7 @@ Expected<double> find_rate_core(const OptimizerOptions& opts, const Obj& obj, st
     // evaluation is repeated.
     double ub = std::min(hard_ub, std::max(1e-3 * sup, 2.0 * lo));
     int guard = 0;
-    double gub = g_at(ub);
+    double gub = g_at(ub, nullptr, nullptr);
     if (err) return std::move(*err);
     while (gub < phi) {
       if (ub >= hard_ub) {
@@ -206,7 +223,7 @@ Expected<double> find_rate_core(const OptimizerOptions& opts, const Obj& obj, st
            << " doublings)";
         return make_solver_error(ErrorCode::BracketNotFound, os.str());
       }
-      gub = g_at(ub);
+      gub = g_at(ub, nullptr, nullptr);
       if (err) return std::move(*err);
     }
     hi = ub;

@@ -27,6 +27,20 @@ void check_rho(double rho) {
   }
 }
 
+// C from the Erlang-B value b, and C' from b: the arithmetic shared by
+// erlang_c / erlang_c_drho and the fused erlang_c_with_drho, so the fused
+// kernel is bitwise equal to the separate ones. Both need rho > 0.
+double c_from_b(double rho, double b) { return b / (1.0 - rho * (1.0 - b)); }
+
+double dc_from_b(unsigned m, double rho, double b) {
+  // t = T_m / S_1 where T_m = a^m/m!, S_1 = sum_{k<m} a^k/k!.
+  // B = T_m/(S_1+T_m)  =>  t = B/(1-B).
+  const double t = b / (1.0 - b);
+  const double u = 1.0 - rho + t;
+  const double dt = (t * static_cast<double>(m) / rho) * u;
+  return (dt * (1.0 - rho) + t) / (u * u);
+}
+
 }  // namespace
 
 double erlang_b(unsigned m, double a) {
@@ -49,9 +63,7 @@ double erlang_c(unsigned m, double rho) {
   check_rho(rho);
   BLADE_OBS_COUNT("numerics.erlang_c_evals");
   if (rho == 0.0) return 0.0;
-  const double a = static_cast<double>(m) * rho;
-  const double b = erlang_b(m, a);
-  return b / (1.0 - rho * (1.0 - b));
+  return c_from_b(rho, erlang_b(m, static_cast<double>(m) * rho));
 }
 
 double erlang_c_drho(unsigned m, double rho) {
@@ -59,14 +71,17 @@ double erlang_c_drho(unsigned m, double rho) {
   check_rho(rho);
   BLADE_OBS_COUNT("numerics.erlang_c_drho_evals");
   if (rho == 0.0) return m == 1 ? 1.0 : 0.0;
-  const double a = static_cast<double>(m) * rho;
-  const double b = erlang_b(m, a);
-  // t = T_m / S_1 where T_m = a^m/m!, S_1 = sum_{k<m} a^k/k!.
-  // B = T_m/(S_1+T_m)  =>  t = B/(1-B).
-  const double t = b / (1.0 - b);
-  const double u = 1.0 - rho + t;
-  const double dt = (t * static_cast<double>(m) / rho) * u;
-  return (dt * (1.0 - rho) + t) / (u * u);
+  return dc_from_b(m, rho, erlang_b(m, static_cast<double>(m) * rho));
+}
+
+ErlangCDrho erlang_c_with_drho(unsigned m, double rho) {
+  check_m(m);
+  check_rho(rho);
+  BLADE_OBS_COUNT("numerics.erlang_c_evals");
+  BLADE_OBS_COUNT("numerics.erlang_c_drho_evals");
+  if (rho == 0.0) return {0.0, m == 1 ? 1.0 : 0.0};
+  const double b = erlang_b(m, static_cast<double>(m) * rho);
+  return {c_from_b(rho, b), dc_from_b(m, rho, b)};
 }
 
 ErlangCDerivs erlang_c_derivs(unsigned m, double rho) {

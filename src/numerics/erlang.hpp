@@ -25,6 +25,17 @@ namespace blade::num {
 /// At rho == 0 the derivative is 0 for m >= 2 and 1 for m == 1.
 [[nodiscard]] double erlang_c_drho(unsigned m, double rho);
 
+/// erlang_c(m, rho) and erlang_c_drho(m, rho) from ONE Erlang-B
+/// recurrence: the same arithmetic, in the same order, as the two
+/// separate kernels, so both members are bitwise equal to theirs. This
+/// is the plain Lagrange marginal's kernel (T' needs C, dT'/drho needs
+/// C and C').
+struct ErlangCDrho {
+  double c = 0.0;   ///< C(m, rho)
+  double dc = 0.0;  ///< dC/drho
+};
+[[nodiscard]] ErlangCDrho erlang_c_with_drho(unsigned m, double rho);
+
 /// Erlang C together with its first two rho-derivatives, all from a
 /// single Erlang-B recurrence evaluation. This is the solver's hot-path
 /// kernel: one marginal-cost evaluation needs C, C', and (for Newton

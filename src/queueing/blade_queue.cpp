@@ -47,7 +47,10 @@ double BladeQueue::response_time_at_rho(double rho) const {
   if (!(rho >= 0.0) || rho >= 1.0) {
     throw std::invalid_argument("BladeQueue: rho must be in [0, 1)");
   }
-  const double pq = num::erlang_c(m_, rho);
+  return response_time_from(rho, num::erlang_c(m_, rho));
+}
+
+double BladeQueue::response_time_from(double rho, double pq) const {
   const double md = static_cast<double>(m_);
   double wait = variability_factor() * pq / (md * (1.0 - rho)) * xbar_;
   if (disc_ == Discipline::SpecialPriority) {
@@ -74,9 +77,12 @@ double BladeQueue::special_response_time(double lambda1) const {
 
 double BladeQueue::dT_drho(double lambda1) const {
   const double rho = utilization(lambda1);
+  const auto k = num::erlang_c_with_drho(m_, rho);
+  return dT_drho_from(rho, k.c, k.dc);
+}
+
+double BladeQueue::dT_drho_from(double rho, double pq, double dpq) const {
   const double md = static_cast<double>(m_);
-  const double pq = num::erlang_c(m_, rho);
-  const double dpq = num::erlang_c_drho(m_, rho);
   // T' = xbar (1 + f * C/(1-rho) / m) with f = (1+scv)/2 times 1 (FCFS)
   // or 1/(1-rho'') (priority); f is constant in rho either way.
   double f = variability_factor();
@@ -90,7 +96,12 @@ double BladeQueue::dT_dlambda(double lambda1) const {
 }
 
 double BladeQueue::lagrange_marginal(double lambda1) const {
-  return generic_response_time(lambda1) + lambda1 * dT_dlambda(lambda1);
+  // generic_response_time(lambda1) + lambda1 * dT_dlambda(lambda1) through
+  // the same helpers, with C and C' from one Erlang-B recurrence.
+  const double rho = utilization(lambda1);
+  const auto k = num::erlang_c_with_drho(m_, rho);
+  return response_time_from(rho, k.c) +
+         lambda1 * (xbar_ / static_cast<double>(m_) * dT_drho_from(rho, k.c, k.dc));
 }
 
 std::pair<double, double> BladeQueue::lagrange_marginal_with_derivative(double lambda1) const {

@@ -73,7 +73,9 @@ class BladeQueue {
   [[nodiscard]] double dT_dlambda(double lambda1) const;
 
   /// Lagrange marginal G(lambda1) = T' + lambda1 dT'/dlambda1. Strictly
-  /// increasing in lambda1 (convexity of lambda1 * T').
+  /// increasing in lambda1 (convexity of lambda1 * T'). One Erlang-B
+  /// recurrence (num::erlang_c_with_drho); bitwise equal to
+  /// generic_response_time(lambda1) + lambda1 * dT_dlambda(lambda1).
   [[nodiscard]] double lagrange_marginal(double lambda1) const;
 
   /// {G(lambda1), dG/dlambda1} from ONE Erlang-B recurrence evaluation
@@ -92,6 +94,12 @@ class BladeQueue {
  private:
   /// (1 + scv)/2: multiplier on every waiting-time term.
   [[nodiscard]] double variability_factor() const noexcept { return 0.5 * (1.0 + scv_); }
+
+  /// T' and dT'/drho at utilization rho from the Erlang kernel's C (pq)
+  /// and C' (dpq): the arithmetic that the public queries and the fused
+  /// lagrange_marginal share, so their results are bitwise equal.
+  [[nodiscard]] double response_time_from(double rho, double pq) const;
+  [[nodiscard]] double dT_drho_from(double rho, double pq, double dpq) const;
 
   unsigned m_;
   double xbar_;

@@ -3,7 +3,10 @@
 // factor of Theorem 2.
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
+#include <cstdint>
+#include <vector>
 
 #include "numerics/convexity.hpp"
 #include "numerics/differentiation.hpp"
@@ -140,6 +143,31 @@ TEST(BladeQueue, LagrangeMarginalIsIncreasing) {
 TEST(BladeQueue, MarginalAtZeroIsIdleResponseTime) {
   const BladeQueue q(4, 1.0, 1.0, Discipline::Fcfs);
   EXPECT_NEAR(q.lagrange_marginal(0.0), q.generic_response_time(0.0), 1e-14);
+}
+
+TEST(BladeQueue, LagrangeMarginalBitwiseEqualsComposition) {
+  // lagrange_marginal fuses the kernel passes of T' + lambda1 dT'/dlambda1
+  // but must keep that composition's arithmetic bit for bit.
+  const auto bits = [](double x) { return std::bit_cast<std::uint64_t>(x); };
+  for (Discipline d : {Discipline::Fcfs, Discipline::SpecialPriority}) {
+    for (double scv : {0.0, 1.0, 2.5}) {
+      for (unsigned m : {1u, 2u, 7u, 14u, 64u, 300u}) {
+        for (double special_load : {0.0, 0.3}) {
+          const double xbar = 1.3;
+          const BladeQueue q(m, xbar, special_load * m / xbar, d, scv);
+          const double sup = q.max_generic_rate();
+          std::vector<double> rates{0.0, 1e-12 * sup, (1.0 - 1e-9) * sup, (1.0 - 1e-12) * sup};
+          for (int k = 1; k < 200; ++k) rates.push_back(k / 200.0 * sup);
+          for (double lam : rates) {
+            const double reference = q.generic_response_time(lam) + lam * q.dT_dlambda(lam);
+            EXPECT_EQ(bits(q.lagrange_marginal(lam)), bits(reference))
+                << blade::queue::to_string(d) << " scv=" << scv << " m=" << m
+                << " special=" << special_load << " lambda1=" << lam;
+          }
+        }
+      }
+    }
+  }
 }
 
 TEST(BladeQueue, RhoQueryValidation) {

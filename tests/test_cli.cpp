@@ -5,6 +5,7 @@
 #include <cstdio>
 #include <fstream>
 #include <sstream>
+#include <string>
 
 #include "cli/app.hpp"
 #include "cli/bench_gate.hpp"
@@ -160,10 +161,18 @@ TEST(App, ScvChangesTheAnswer) {
   EXPECT_NE(exp_out, det_out);
 }
 
+// A path under TempDir() unique to the running test. ctest runs each test
+// in its own process, concurrently under -j, so a fixture file with a
+// fixed name could be deleted by another test's TearDown mid-run.
+std::string per_test_path(const char* suffix) {
+  const auto* info = ::testing::UnitTest::GetInstance()->current_test_info();
+  return ::testing::TempDir() + info->test_suite_name() + "." + info->name() + "." + suffix;
+}
+
 class CliDriver : public ::testing::Test {
  protected:
   void SetUp() override {
-    path_ = ::testing::TempDir() + "cli_driver_demo.spec";
+    path_ = per_test_path("spec");
     std::ofstream(path_) << kSpec;
   }
   void TearDown() override { std::remove(path_.c_str()); }
@@ -313,7 +322,7 @@ class CliServeReplay : public CliDriver {
  protected:
   void SetUp() override {
     CliDriver::SetUp();
-    trace_path_ = ::testing::TempDir() + "cli_serve.trace";
+    trace_path_ = per_test_path("trace");
     std::ofstream(trace_path_) << "horizon 300\nseed 7\nrate 0 4.0\nrate 100 7.0\n"
                                   "fail 150 2\nrecover 200 2\n";
   }

@@ -2,7 +2,9 @@
 // the paper's textbook formulas, and analytic-vs-numeric derivatives.
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
+#include <cstdint>
 
 #include "numerics/differentiation.hpp"
 #include "numerics/erlang.hpp"
@@ -115,6 +117,21 @@ TEST(ErlangCDerivative, SingleServerIsOne) {
   for (double rho : {0.0, 0.2, 0.5, 0.9}) {
     EXPECT_NEAR(erlang_c_drho(1, rho), 1.0, 1e-10);
   }
+}
+
+TEST(ErlangCWithDrho, BitwiseEqualToSeparateKernels) {
+  // The fused kernel runs one Erlang-B recurrence for both values and
+  // must reproduce erlang_c and erlang_c_drho bit for bit.
+  const auto bits = [](double x) { return std::bit_cast<std::uint64_t>(x); };
+  for (unsigned m = 1; m <= 500; ++m) {
+    for (double rho : {0.0, 1e-300, 1e-9, 0.3, 0.9, 1.0 - 1e-12}) {
+      const auto k = blade::num::erlang_c_with_drho(m, rho);
+      EXPECT_EQ(bits(k.c), bits(erlang_c(m, rho))) << "m=" << m << " rho=" << rho;
+      EXPECT_EQ(bits(k.dc), bits(erlang_c_drho(m, rho))) << "m=" << m << " rho=" << rho;
+    }
+  }
+  EXPECT_THROW((void)blade::num::erlang_c_with_drho(0, 0.5), std::invalid_argument);
+  EXPECT_THROW((void)blade::num::erlang_c_with_drho(4, 1.0), std::invalid_argument);
 }
 
 TEST(MMmP0, SingleServer) {

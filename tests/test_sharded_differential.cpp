@@ -307,6 +307,26 @@ TEST(ShardedMetamorphic, WarmStartedWorkspaceMatchesCold) {
   EXPECT_LE(num::rel_diff(warm.dist.response_time, cold.dist.response_time), 1e-9);
 }
 
+// The same up-and-down lambda' chain on instances with servers that sit
+// idle at light load: nothing one solve caches for its objective
+// (bracket ends, memoized bracket-end marginals) may leak into the next.
+TEST(ShardedMetamorphic, ReusedWorkspaceMatchesFreshSolves) {
+  for (auto [regime, d] : {std::pair{Regime::Random, Discipline::Fcfs},
+                           std::pair{Regime::LargeServers, Discipline::SpecialPriority},
+                           std::pair{Regime::NearSaturation, Discipline::Fcfs}}) {
+    const Instance inst = make_instance(regime, 7, d);
+    const opt::ShardedOptimizer sharded(inst.cluster, inst.discipline, {}, cells_opt(2));
+    opt::ShardedWorkspace ws;
+    const double lambda_max = inst.cluster.max_generic_rate();
+    for (double frac : {0.2, 0.4, 0.6, 0.8, 0.85, 0.3, 0.1}) {
+      const auto warm = sharded.optimize(frac * lambda_max, ws);
+      const auto cold = sharded.optimize(frac * lambda_max);
+      EXPECT_LE(num::rel_diff(warm.dist.response_time, cold.dist.response_time), 1e-9)
+          << inst.name << " frac=" << frac;
+    }
+  }
+}
+
 // The error surface mirrors the flat solver's typed taxonomy.
 TEST(ShardedMetamorphic, ErrorTaxonomy) {
   const auto cluster = catalog_cluster(32, 4);

@@ -6,15 +6,19 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <bit>
 #include <cmath>
+#include <cstdint>
 #include <stdexcept>
 #include <vector>
 
 #include "core/batch.hpp"
 #include "core/objective.hpp"
 #include "core/optimizer.hpp"
+#include "core/solver_core.hpp"
 #include "model/paper_configs.hpp"
 #include "numerics/erlang.hpp"
+#include "obs/obs.hpp"
 #include "parallel/sweep.hpp"
 #include "parallel/thread_pool.hpp"
 #include "support/generators.hpp"
@@ -145,6 +149,161 @@ TEST_F(FindRateBracketed, UndershootingWarmBoundRecovers) {
   const double warm = solver_.find_rate_bracketed(obj_, 0, phi, 0.0, 0.5 * cold);
   EXPECT_NEAR(warm, cold, 1e-9 * (1.0 + cold));
 }
+
+// --- bracket-end memo ----------------------------------------------------
+
+// The objective with a count of plain marginal queries that reach the
+// kernel, so the memo test can see that it actually hits.
+struct CountingObjective {
+  const opt::ResponseTimeObjective& obj;
+  long* plain_calls;
+
+  double rate_bound(std::size_t i) const { return obj.rate_bound(i); }
+  double marginal(std::size_t i, double rate) const {
+    ++*plain_calls;
+    return obj.marginal(i, rate);
+  }
+  std::pair<double, double> marginal_with_derivative(std::size_t i, double rate) const {
+    return obj.marginal_with_derivative(i, rate);
+  }
+};
+
+struct WarmBracketReplay {
+  std::vector<std::uint64_t> rate_bits;  ///< every returned rate, in call order
+  std::vector<ErrorCode> codes;          ///< every call's outcome
+  long evals = 0;
+  long plain_calls = 0;
+};
+
+// Drives find_rate_core through the phi search's warm-bracket pattern on
+// the paper cluster: doubling phi until the rates cover lambda', then
+// bisecting, with each server's inner solve bracketed by its rates at
+// phi_lo and phi_hi. The end the bisection did not move is queried again
+// on the next probe, which is what the memo answers.
+WarmBracketReplay replay_warm_brackets(long max_evals, bool with_memo) {
+  const auto cluster = model::paper_example_cluster();
+  opt::OptimizerOptions opts;
+  opts.max_marginal_evaluations = max_evals;
+  const double lambda_total = 0.6 * cluster.max_generic_rate();
+  const opt::ResponseTimeObjective base(cluster, Discipline::Fcfs, lambda_total);
+  WarmBracketReplay out;
+  const CountingObjective obj{base, &out.plain_calls};
+  const std::size_t n = base.size();
+  const double tol = opts.rate_tolerance;
+  opt::detail::SolveBudget budget = opt::detail::SolveBudget::from(opts);
+  std::vector<opt::detail::MarginalMemo> memo(n);
+  std::vector<double> rates_lo(n, 0.0), rates_hi(n, 0.0), scratch(n, 0.0);
+  double phi_lo = 0.0, phi_hi = -1.0;
+
+  // F(phi) into scratch; false once a call fails.
+  auto probe = [&](double phi, double& total) {
+    total = 0.0;
+    for (std::size_t i = 0; i < n; ++i) {
+      const double lo = phi >= phi_lo ? rates_lo[i] - tol : 0.0;
+      const double hi = phi_hi >= 0.0 && phi <= phi_hi ? rates_hi[i] + tol : -1.0;
+      auto r = opt::detail::find_rate_core(opts, obj, i, phi, lo, hi, &out.evals, budget,
+                                           with_memo ? &memo[i] : nullptr);
+      out.codes.push_back(r ? ErrorCode::Ok : r.error().code);
+      if (!r) return false;
+      out.rate_bits.push_back(std::bit_cast<std::uint64_t>(r.value()));
+      scratch[i] = r.value();
+      total += r.value();
+    }
+    return true;
+  };
+  auto absorb = [&](double phi, double total) {
+    if (total < lambda_total) {
+      phi_lo = phi;
+      rates_lo.swap(scratch);
+    } else {
+      phi_hi = phi;
+      rates_hi.swap(scratch);
+    }
+  };
+  double total = 0.0;
+  for (double phi = 1e-6;; phi *= 2.0) {
+    if (!probe(phi, total)) return out;
+    absorb(phi, total);
+    if (total >= lambda_total) break;
+  }
+  for (int it = 0; it < 60; ++it) {
+    const double mid = 0.5 * (phi_lo + phi_hi);
+    if (!probe(mid, total)) return out;
+    absorb(mid, total);
+  }
+  return out;
+}
+
+TEST(MarginalMemo, WarmBracketSequenceMatchesNoMemoBitwise) {
+  const WarmBracketReplay plain = replay_warm_brackets(0, false);
+  const WarmBracketReplay memo = replay_warm_brackets(0, true);
+  ASSERT_FALSE(plain.codes.empty());
+  EXPECT_EQ(memo.rate_bits, plain.rate_bits);
+  EXPECT_EQ(memo.codes, plain.codes);
+  EXPECT_EQ(memo.evals, plain.evals);  // hits still count as evaluations
+  // Not vacuous: the memo answered a share of the plain queries.
+  EXPECT_LT(memo.plain_calls, plain.plain_calls);
+  EXPECT_GT(memo.plain_calls, 0);
+
+  // Budget trips land on the same call and the same evaluation count.
+  for (long max_evals : {1L, 7L, plain.evals / 3, plain.evals / 2, plain.evals - 1}) {
+    const WarmBracketReplay p = replay_warm_brackets(max_evals, false);
+    const WarmBracketReplay m = replay_warm_brackets(max_evals, true);
+    ASSERT_FALSE(p.codes.empty());
+    EXPECT_EQ(p.codes.back(), ErrorCode::BudgetExceeded) << "max_evals=" << max_evals;
+    EXPECT_EQ(m.codes, p.codes) << "max_evals=" << max_evals;
+    EXPECT_EQ(m.rate_bits, p.rate_bits) << "max_evals=" << max_evals;
+    EXPECT_EQ(m.evals, p.evals) << "max_evals=" << max_evals;
+  }
+}
+
+TEST(MarginalMemo, OnlyABitwiseEqualRateHits) {
+  // phi = g(b) exactly, with b a hair above a. After g(a) < phi is
+  // memoized, a query at lo = b must reach the kernel: g(b) >= phi makes
+  // the server inactive at lo, where a near-match would return g(a) and
+  // send the solve on to Newton.
+  const auto cluster = model::paper_example_cluster();
+  const opt::ResponseTimeObjective obj(cluster, Discipline::Fcfs, 5.0);
+  const opt::OptimizerOptions opts;
+  const double a = 0.3 * obj.rate_bound(0);
+  const double b = a * (1.0 + 1e-10);
+  const double phi = obj.marginal(0, b);
+  ASSERT_LT(obj.marginal(0, a), phi);
+  opt::detail::SolveBudget budget;
+  opt::detail::MarginalMemo memo;
+  long evals = 0;
+  (void)opt::detail::find_rate_core(opts, obj, 0, phi, a, -1.0, &evals, budget, &memo);
+  ASSERT_EQ(std::bit_cast<std::uint64_t>(memo.x_lo), std::bit_cast<std::uint64_t>(a));
+  evals = 0;
+  auto r = opt::detail::find_rate_core(opts, obj, 0, phi, b, -1.0, &evals, budget, &memo);
+  ASSERT_TRUE(r);
+  EXPECT_EQ(std::bit_cast<std::uint64_t>(r.value()), std::bit_cast<std::uint64_t>(b));
+  EXPECT_EQ(evals, 1);
+}
+
+#if BLADE_OBS_ENABLED
+TEST(MarginalMemo, ColdSweepRunsFewerRecurrencesThanEvaluations) {
+  // One Erlang-B recurrence per kernel-reaching marginal query, and the
+  // memo answers repeated bracket ends without one: a cold sweep needs
+  // fewer recurrences than it counts marginal evaluations.
+  const auto cluster = model::paper_example_cluster();
+  const opt::LoadDistributionOptimizer solver(cluster, Discipline::Fcfs);
+  auto recurrences = [] {
+    const obs::Snapshot snap = obs::registry().snapshot();
+    const obs::MetricValue* m = snap.find("numerics.erlang_b_evals");
+    return m != nullptr ? static_cast<long>(m->count) : 0L;
+  };
+  const long before = recurrences();
+  long inner_evaluations = 0;
+  for (double lambda : par::linspace(0.05 * cluster.max_generic_rate(),
+                                     0.95 * cluster.max_generic_rate(), 24)) {
+    inner_evaluations += solver.optimize(lambda).inner_evaluations;
+  }
+  const long delta = recurrences() - before;
+  EXPECT_GT(delta, 0);
+  EXPECT_LT(delta, inner_evaluations) << "erlang_b_evals=" << delta;
+}
+#endif
 
 // --- workspace-threaded outer solves -------------------------------------
 
